@@ -11,10 +11,13 @@
 //     cuckoo hashing ("MemC3: Compact and Concurrent MemCache with Dumber
 //     Caching and Smarter Hashing" [8]).
 //
-// Concurrency model matches CuckooMap: striped bucket locks for writers,
-// optimistic version-validated reads; the reference bitmap is deliberately
-// outside the validated region (a racy ref-bit costs at most one eviction
-// decision, never correctness).
+// Concurrency model matches CuckooMap, and so does the code: reads, inserts
+// and displacements run on the shared engine (engine.h) — striped bucket
+// locks for writers, optimistic version-validated reads. What is the cache's
+// own is CLOCK eviction and the byte charges, which the engine's on-move
+// hook carries along with each displaced item. The reference bitmap is
+// deliberately outside the validated region (a racy ref-bit costs at most
+// one eviction decision, never correctness).
 #ifndef SRC_CUCKOO_CLOCK_CACHE_H_
 #define SRC_CUCKOO_CLOCK_CACHE_H_
 
@@ -29,7 +32,9 @@
 #include "src/common/per_thread_counter.h"
 #include "src/common/striped_locks.h"
 #include "src/common/thread_annotations.h"
+#include "src/cuckoo/engine.h"
 #include "src/cuckoo/path_search.h"
+#include "src/cuckoo/stats.h"
 #include "src/cuckoo/table_core.h"
 #include "src/cuckoo/types.h"
 
@@ -84,6 +89,7 @@ class ClockCache {
       : opts_(opts),
         hasher_(std::move(hasher)),
         eq_(std::move(eq)),
+        search_{opts.max_search_slots, opts.prefetch},
         stripes_(opts.stripe_count),
         core_(opts.bucket_count_log2),
         ref_bits_(new std::atomic<std::uint8_t>[core_.slot_count()]),
@@ -92,6 +98,7 @@ class ClockCache {
       ref_bits_[i].store(0, std::memory_order_relaxed);
       charges_[i].store(0, std::memory_order_relaxed);
     }
+    stripes_.SetContentionCounter(stats_.ContentionCounter());
   }
 
   ClockCache(const ClockCache&) = delete;
@@ -101,46 +108,15 @@ class ClockCache {
 
   // Optimistic lookup; a hit marks the slot referenced for CLOCK.
   bool Get(const K& key, V* out) {
-    const HashedKey h = HashedKey::From(hasher_(key));
-    const std::size_t b1 = h.Bucket1(core_.mask);
-    const std::size_t b2 = core_.AltBucket(b1, h.tag);
-    const std::size_t s1 = stripes_.StripeFor(b1);
-    const std::size_t s2 = stripes_.StripeFor(b2);
-    for (;;) {
-      const std::uint64_t v1 = stripes_.Stripe(s1).AwaitVersion();
-      const std::uint64_t v2 = (s2 == s1) ? v1 : stripes_.Stripe(s2).AwaitVersion();
-      bool found = false;
-      std::size_t hit_bucket = 0;
-      int hit_slot = 0;
-      V value{};
-      for (std::size_t bucket : {b1, b2}) {
-        for (int s = 0; s < B; ++s) {
-          if (core_.Tag(bucket, s) == h.tag && eq_(core_.LoadKey(bucket, s), key)) {
-            value = core_.LoadValue(bucket, s);
-            hit_bucket = bucket;
-            hit_slot = s;
-            found = true;
-            break;
-          }
-        }
-        if (found) {
-          break;
-        }
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (stripes_.Stripe(s1).LoadRaw() == v1 && stripes_.Stripe(s2).LoadRaw() == v2) {
-        if (found) {
-          // Second-chance mark. Outside the validated region on purpose.
-          ref_bits_[hit_bucket * B + static_cast<std::size_t>(hit_slot)].store(
-              1, std::memory_order_relaxed);
-          hits_.Increment();
-          *out = value;
-        } else {
-          misses_.Increment();
-        }
-        return found;
-      }
+    SlotRef at;
+    const bool found = OptimisticFind(stripes_, stats_, Current(), HashedKey::From(hasher_(key)),
+                                      key, eq_, opts_.prefetch, out, &at);
+    if (found) {
+      // Second-chance mark. Outside the validated region on purpose.
+      ref_bits_[Index(at)].store(1, std::memory_order_relaxed);
     }
+    stats_.RecordLookup(found);
+    return found;
   }
 
   bool Contains(const K& key) {
@@ -155,9 +131,6 @@ class ClockCache {
   // false if the entry can never fit (charge > capacity) or if even a full
   // CLOCK sweep could not free a usable slot (pathological hash).
   bool Set(const K& key, const V& value, std::size_t charge = 1) {
-    const HashedKey h = HashedKey::From(hasher_(key));
-    const std::size_t b1 = h.Bucket1(core_.mask);
-    const std::size_t b2 = core_.AltBucket(b1, h.tag);
     sets_.Increment();
     const std::uint32_t charge32 = charge > UINT32_MAX
                                        ? UINT32_MAX
@@ -179,72 +152,53 @@ class ClockCache {
         }
       }
     }
-    CuckooPath path;
-    for (std::size_t attempt = 0;
-         attempt < opts_.max_sweep_factor * core_.slot_count(); ++attempt) {
-      {
-        PairGuard guard(stripes_, b1, b2);
-        std::size_t bucket;
-        int slot;
-        if (FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-          core_.WriteValue(bucket, slot, value);
-          const std::size_t idx = bucket * B + static_cast<std::size_t>(slot);
-          ref_bits_[idx].store(1, std::memory_order_relaxed);
-          const std::uint32_t old = charges_[idx].exchange(charge32, std::memory_order_relaxed);
-          bytes_.fetch_add(static_cast<std::int64_t>(charge32) - old,
-                           std::memory_order_relaxed);
+    std::size_t evictions = 0;
+    const HashedKey h = HashedKey::From(hasher_(key));
+    const InsertResult r = InsertLoop(
+        stripes_, stats_, search_, h, Current(),
+        [&](Core& core, std::size_t b1, std::size_t b2) {
+          return FindKey(core, b1, b2, h.tag, key, eq_);
+        },
+        [&](Core& core, SlotRef at) {
+          core.WriteValue(at.bucket, at.slot, value);
+          Charge(at, charge32);
           return true;
-        }
-        for (std::size_t b : {b1, b2}) {
-          int s = core_.FindEmptySlot(b);
-          if (s >= 0) {
-            core_.WriteSlot(b, s, h.tag, key, value);
-            const std::size_t idx = b * B + static_cast<std::size_t>(s);
-            ref_bits_[idx].store(1, std::memory_order_relaxed);
-            charges_[idx].store(charge32, std::memory_order_relaxed);
-            bytes_.fetch_add(charge32, std::memory_order_relaxed);
-            size_.Increment();
-            return true;
-          }
-        }
-        guard.ReleaseNoModify();
-      }
-
-      // Try to open a slot in b1/b2 by cuckoo displacement first (keeps
-      // occupancy high before resorting to eviction).
-      path.Clear();
-      if (BfsSearch(core_, b1, b2, opts_.max_search_slots, opts_.prefetch, &path) &&
-          ExecutePath(path)) {
-        continue;  // a slot should now be free in b1/b2
-      }
-
-      // Table-full for this key: evict one victim somewhere, which frees a
-      // slot reachable on the next displacement search.
-      if (!EvictOne()) {
-        return false;
-      }
-    }
-    return false;
+        },
+        [&](Core& core, SlotRef at) {
+          core.ConstructSlot(at.bucket, at.slot, h.tag, key, value);
+          Charge(at, charge32);
+          size_.Increment();
+        },
+        [&](Core*) {
+          // Table-full for this key: evict one victim somewhere, which frees
+          // a slot reachable on the next displacement search. The cap bounds
+          // a pathological hash that no eviction ever helps.
+          return ++evictions <= opts_.max_sweep_factor * core_.slot_count() && EvictOne();
+        },
+        [this](Core&, const PathHop& from, const PathHop& to) {
+          // The item carries its reference bit and byte charge along.
+          const std::size_t from_idx = Index(SlotRef{from.bucket, from.slot});
+          const std::size_t to_idx = Index(SlotRef{to.bucket, to.slot});
+          ref_bits_[to_idx].store(ref_bits_[from_idx].load(std::memory_order_relaxed),
+                                  std::memory_order_relaxed);
+          charges_[to_idx].store(charges_[from_idx].exchange(0, std::memory_order_relaxed),
+                                 std::memory_order_relaxed);
+        });
+    return r != InsertResult::kTableFull;
   }
 
   bool Delete(const K& key) {
     const HashedKey h = HashedKey::From(hasher_(key));
-    const std::size_t b1 = h.Bucket1(core_.mask);
-    const std::size_t b2 = core_.AltBucket(b1, h.tag);
-    PairGuard guard(stripes_, b1, b2);
-    std::size_t bucket;
-    int slot;
-    if (!FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-      guard.ReleaseNoModify();
-      return false;
-    }
-    if (opts_.on_evict) {
-      opts_.on_evict(core_.KeyRef(bucket, slot), core_.ValueRef(bucket, slot));
-    }
-    core_.ClearSlot(bucket, slot);
-    ReleaseCharge(bucket * B + static_cast<std::size_t>(slot));
-    size_.Decrement();
-    return true;
+    return WithKeyPair(stripes_, Current(), h,
+                       [&](Core& core, std::size_t b1, std::size_t b2, PairGuard& guard) {
+                         const Found<Core> f = FindKey(core, b1, b2, h.tag, key, eq_);
+                         if (f.core == nullptr) {
+                           guard.ReleaseNoModify();
+                           return false;
+                         }
+                         Remove(f.at);
+                         return true;
+                       });
   }
 
   // Lookup, or produce-and-insert on miss: `fetch(V* value, std::size_t*
@@ -286,9 +240,10 @@ class ClockCache {
   std::uint64_t Bytes() const noexcept { return CurrentBytes(); }
 
   CacheStats Stats() const noexcept {
+    const MapStatsSnapshot table = stats_.Read();
     CacheStats s;
-    s.hits = static_cast<std::uint64_t>(hits_.Sum());
-    s.misses = static_cast<std::uint64_t>(misses_.Sum());
+    s.hits = static_cast<std::uint64_t>(table.lookup_hits);
+    s.misses = static_cast<std::uint64_t>(table.lookups - table.lookup_hits);
     s.evictions = static_cast<std::uint64_t>(evictions_.Sum());
     s.sets = static_cast<std::uint64_t>(sets_.Sum());
     s.bytes = CurrentBytes();
@@ -297,45 +252,33 @@ class ClockCache {
   }
 
  private:
-  bool FindSlotExclusive(std::size_t b1, std::size_t b2, std::uint8_t tag, const K& key,
-                         std::size_t* bucket, int* slot) const REQUIRES(stripes_) {
-    for (std::size_t b : {b1, b2}) {
-      for (int s = 0; s < B; ++s) {
-        if (core_.Tag(b, s) == tag && eq_(core_.KeyRef(b, s), key)) {
-          *bucket = b;
-          *slot = s;
-          return true;
-        }
-      }
-    }
-    return false;
+  // The one core, in the engine's "current core" form.
+  auto Current() {
+    return [this] { return &core_; };
   }
 
-  bool ExecutePath(const CuckooPath& path) {
-    if (path.hops.empty()) {
-      // A path that was never found moves nothing; without this guard the
-      // countdown below would start at SIZE_MAX and walk out of bounds.
-      return false;
+  static std::size_t Index(SlotRef at) noexcept {
+    return at.bucket * B + static_cast<std::size_t>(at.slot);
+  }
+
+  // Mark the entry just written at `at` referenced and charge it `charge`
+  // bytes (replacing an overwritten entry's charge; a free slot's is 0).
+  void Charge(SlotRef at, std::uint32_t charge) {
+    ref_bits_[Index(at)].store(1, std::memory_order_relaxed);
+    const std::uint32_t old = charges_[Index(at)].exchange(charge, std::memory_order_relaxed);
+    bytes_.fetch_add(static_cast<std::int64_t>(charge) - old, std::memory_order_relaxed);
+  }
+
+  // Drop the entry at `at` (its pair lock held): the on_evict hook, then the
+  // slot and its charge.
+  void Remove(SlotRef at) {
+    if (opts_.on_evict) {
+      opts_.on_evict(core_.Key(at.bucket, at.slot), core_.Value(at.bucket, at.slot));
     }
-    for (std::size_t i = path.hops.size() - 1; i-- > 0;) {
-      const PathHop& from = path.hops[i];
-      const PathHop& to = path.hops[i + 1];
-      PairGuard guard(stripes_, from.bucket, to.bucket);
-      if (from.tag == 0 || core_.Tag(from.bucket, from.slot) != from.tag ||
-          core_.Tag(to.bucket, to.slot) != 0) {
-        guard.ReleaseNoModify();
-        return false;
-      }
-      core_.MoveSlot(from.bucket, from.slot, to.bucket, to.slot);
-      // The item carries its reference bit and byte charge along.
-      const std::size_t from_idx = from.bucket * B + static_cast<std::size_t>(from.slot);
-      const std::size_t to_idx = to.bucket * B + static_cast<std::size_t>(to.slot);
-      std::uint8_t ref = ref_bits_[from_idx].load(std::memory_order_relaxed);
-      ref_bits_[to_idx].store(ref, std::memory_order_relaxed);
-      charges_[to_idx].store(charges_[from_idx].exchange(0, std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-    }
-    return true;
+    core_.DestroySlot(at.bucket, at.slot);
+    bytes_.fetch_sub(charges_[Index(at)].exchange(0, std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    size_.Decrement();
   }
 
   // Advance the clock hand until an unreferenced occupied slot is found;
@@ -359,23 +302,11 @@ class ClockCache {
         guard.ReleaseNoModify();
         continue;  // raced with an eraser
       }
-      if (opts_.on_evict) {
-        opts_.on_evict(core_.KeyRef(bucket, slot), core_.ValueRef(bucket, slot));
-      }
-      core_.ClearSlot(bucket, slot);
-      ReleaseCharge(idx);
-      size_.Decrement();
+      Remove(SlotRef{bucket, slot});
       evictions_.Increment();
       return true;
     }
     return false;
-  }
-
-  void ReleaseCharge(std::size_t idx) {
-    const std::uint32_t old = charges_[idx].exchange(0, std::memory_order_relaxed);
-    if (old != 0) {
-      bytes_.fetch_sub(old, std::memory_order_relaxed);
-    }
   }
 
   std::uint64_t CurrentBytes() const noexcept {
@@ -386,6 +317,7 @@ class ClockCache {
   Options opts_;
   Hash hasher_;
   KeyEqual eq_;
+  SearchParams search_;
   mutable LockStripes stripes_;
   Core core_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> ref_bits_;
@@ -393,8 +325,7 @@ class ClockCache {
   std::atomic<std::int64_t> bytes_{0};
   std::atomic<std::size_t> hand_{0};
   PerThreadCounter size_;
-  mutable PerThreadCounter hits_;
-  mutable PerThreadCounter misses_;
+  mutable MapStats stats_;
   PerThreadCounter evictions_;
   PerThreadCounter sets_;
 };

@@ -14,7 +14,9 @@
 // The table is fixed-size (like MemC3; inserts return kTableFull when no path
 // exists), B-way set-associative, and uses striped version counters so reads
 // never take the global lock. All writes serialize through one GlobalLock —
-// the template parameter that the elision wrappers plug into.
+// the template parameter that the elision wrappers plug into. The probes,
+// path search and path execution are the shared engine's (engine.h); what
+// is this table's own is the two global-lock insert protocols.
 #ifndef SRC_CUCKOO_FLAT_CUCKOO_MAP_H_
 #define SRC_CUCKOO_FLAT_CUCKOO_MAP_H_
 
@@ -22,19 +24,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "src/common/cpu.h"
 #include "src/common/hash.h"
 #include "src/common/mutex.h"
 #include "src/common/per_thread_counter.h"
-#include "src/common/random.h"
 #include "src/common/spinlock.h"
 #include "src/common/striped_locks.h"
 #include "src/common/test_points.h"
 #include "src/common/thread_annotations.h"
+#include "src/cuckoo/engine.h"
 #include "src/cuckoo/path_search.h"
-#include "src/cuckoo/simd_probe.h"
 #include "src/cuckoo/stats.h"
 #include "src/cuckoo/table_core.h"
 #include "src/cuckoo/types.h"
@@ -81,6 +83,7 @@ class FlatCuckooMap {
       : opts_(opts),
         hasher_(std::move(hasher)),
         eq_(std::move(eq)),
+        search_{opts.max_search_slots, opts.prefetch, opts.search_mode, opts.dfs_max_path_len},
         versions_(opts.version_stripe_count),
         core_(opts.bucket_count_log2, opts.hugepages) {
     stats_.SetHugepageBytes(core_.hugepage_bytes());
@@ -93,47 +96,11 @@ class FlatCuckooMap {
 
   bool Find(const K& key, V* out) const {
     const std::uint64_t t0 = stats_.MaybeStartLookupTimer();
-    const HashedKey h = HashedKey::From(hasher_(key));
-    const std::size_t b1 = h.Bucket1(core_.mask);
-    const std::size_t b2 = core_.AltBucket(b1, h.tag);
-    const std::size_t s1 = versions_.StripeFor(b1);
-    const std::size_t s2 = versions_.StripeFor(b2);
-    for (;;) {
-      const std::uint64_t v1 = versions_.Stripe(s1).AwaitVersion();
-      const std::uint64_t v2 = (s2 == s1) ? v1 : versions_.Stripe(s2).AwaitVersion();
-      CUCKOO_TEST_POINT(TestPoint::kReadAfterVersionSnapshot);
-
-      bool found = false;
-      V value{};
-      // One vectorized probe answers both buckets: candidate bits [0, B) are
-      // b1's tag matches, [B, 2B) are b2's, walked in probe order. The tag
-      // snapshots are tear-tolerant like every other load in this window —
-      // the version validation below rejects any torn read.
-      std::uint32_t cand = simd::MatchTagMask2<B>(core_.LoadTagsVector(b1),
-                                                  core_.LoadTagsVector(b2), h.tag);
-      while (cand != 0) {
-        const int bit = simd::NextCandidate(&cand);
-        const std::size_t bucket = bit < B ? b1 : b2;
-        const int s = bit < B ? bit : bit - B;
-        if (eq_(core_.LoadKey(bucket, s), key)) {
-          value = core_.LoadValue(bucket, s);
-          found = true;
-          break;
-        }
-      }
-
-      CUCKOO_TEST_POINT(TestPoint::kReadBeforeValidate);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (versions_.Stripe(s1).LoadRaw() == v1 && versions_.Stripe(s2).LoadRaw() == v2) {
-        stats_.RecordLookup(found);
-        stats_.FinishLookupTimer(t0);
-        if (found) {
-          *out = value;
-        }
-        return found;
-      }
-      stats_.RecordReadRetry();
-    }
+    const bool found = OptimisticFind(versions_, stats_, Current(), HashedKey::From(hasher_(key)),
+                                      key, eq_, /*prefetch=*/false, out);
+    stats_.RecordLookup(found);
+    stats_.FinishLookupTimer(t0);
+    return found;
   }
 
   bool Contains(const K& key) const {
@@ -144,66 +111,25 @@ class FlatCuckooMap {
   // ----- Insert --------------------------------------------------------------
 
   InsertResult Insert(const K& key, const V& value) {
-    const std::uint64_t t0 = stats_.MaybeStartInsertTimer();
-    const HashedKey h = HashedKey::From(hasher_(key));
-    const std::size_t b1 = h.Bucket1(core_.mask);
-    const std::size_t b2 = core_.AltBucket(b1, h.tag);
-    const InsertResult r = opts_.lock_after_discovery
-                               ? InsertLockLater(h, b1, b2, key, value)
-                               : InsertLockFirst(h, b1, b2, key, value);
-    stats_.FinishInsertTimer(t0);
-    return r;
-  }
-
-  bool Update(const K& key, const V& value) {
-    const HashedKey h = HashedKey::From(hasher_(key));
-    const std::size_t b1 = h.Bucket1(core_.mask);
-    const std::size_t b2 = core_.AltBucket(b1, h.tag);
-    ScopedLock<GlobalLock> g(lock_);
-    std::size_t bucket;
-    int slot;
-    if (!FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-      return false;
-    }
-    BumpGuard bump(versions_, bucket);
-    core_.WriteValue(bucket, slot, value);
-    return true;
+    return DoInsert(key, value, /*overwrite=*/false);
   }
 
   // Insert or overwrite: kOk if inserted, kKeyExists if overwritten,
   // kTableFull on failure.
   InsertResult Upsert(const K& key, const V& value) {
-    if (Update(key, value)) {
-      return InsertResult::kKeyExists;
-    }
-    for (;;) {
-      InsertResult r = Insert(key, value);
-      if (r != InsertResult::kKeyExists) {
-        return r;
-      }
-      // Raced with another inserter of the same key; overwrite its value.
-      if (Update(key, value)) {
-        return InsertResult::kKeyExists;
-      }
-      // ... unless an eraser removed it again: retry the insert.
-    }
+    return DoInsert(key, value, /*overwrite=*/true);
+  }
+
+  bool Update(const K& key, const V& value) {
+    return ModifyExisting(key, [&](SlotRef at) { core_.WriteValue(at.bucket, at.slot, value); });
   }
 
   bool Erase(const K& key) {
-    const HashedKey h = HashedKey::From(hasher_(key));
-    const std::size_t b1 = h.Bucket1(core_.mask);
-    const std::size_t b2 = core_.AltBucket(b1, h.tag);
-    ScopedLock<GlobalLock> g(lock_);
-    std::size_t bucket;
-    int slot;
-    if (!FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-      return false;
-    }
-    BumpGuard bump(versions_, bucket);
-    core_.ClearSlot(bucket, slot);
-    size_.Decrement();
-    stats_.RecordErase();
-    return true;
+    return ModifyExisting(key, [&](SlotRef at) {
+      core_.DestroySlot(at.bucket, at.slot);
+      size_.Decrement();
+      stats_.RecordErase();
+    });
   }
 
   // Remove all items (capacity retained). Serializes against writers via the
@@ -211,10 +137,10 @@ class FlatCuckooMap {
   void Clear() {
     ScopedLock<GlobalLock> g(lock_);
     for (std::size_t bucket = 0; bucket < core_.bucket_count(); ++bucket) {
-      BumpGuard bump(versions_, bucket);
+      PairGuard bump(versions_, bucket, bucket);
       for (int s = 0; s < B; ++s) {
         if (core_.Tag(bucket, s) != 0) {
-          core_.ClearSlot(bucket, s);
+          core_.DestroySlot(bucket, s);
         }
       }
     }
@@ -247,177 +173,158 @@ class FlatCuckooMap {
   const GlobalLock& global_lock() const noexcept { return lock_; }
 
  private:
-  // Bumps a bucket's version stripe around a write so optimistic readers
-  // retry. The writer already holds the global lock, so the stripe CAS is
-  // uncontended. Ctor/dtor bodies are excluded from thread-safety analysis:
-  // the stripe is resolved through a member alias of the constructor
-  // parameter, which the analysis cannot connect to the scoped capability.
-  class SCOPED_CAPABILITY BumpGuard {
-   public:
-    BumpGuard(LockStripes& stripes, std::size_t bucket) noexcept
-        ACQUIRE(stripes) NO_THREAD_SAFETY_ANALYSIS
-        : stripe_(stripes.Stripe(stripes.StripeFor(bucket))) {
-      stripe_.Lock();
-    }
-    ~BumpGuard() RELEASE() NO_THREAD_SAFETY_ANALYSIS { stripe_.Unlock(); }
-    BumpGuard(const BumpGuard&) = delete;
-    BumpGuard& operator=(const BumpGuard&) = delete;
+  // Every write bumps the version stripes of the buckets it touches, so
+  // optimistic readers retry: a PairGuard over versions_ (the writer already
+  // holds the global lock, so the stripe acquisition is uncontended).
 
-   private:
-    VersionLock& stripe_;
-  };
-
-  bool FindSlotExclusive(std::size_t b1, std::size_t b2, std::uint8_t tag, const K& key,
-                         std::size_t* bucket, int* slot) const REQUIRES(lock_) {
-    std::uint32_t cand =
-        simd::MatchTagMask2<B>(core_.LoadTagsVector(b1), core_.LoadTagsVector(b2), tag);
-    while (cand != 0) {
-      const int bit = simd::NextCandidate(&cand);
-      const std::size_t b = bit < B ? b1 : b2;
-      const int s = bit < B ? bit : bit - B;
-      if (eq_(core_.KeyRef(b, s), key)) {
-        *bucket = b;
-        *slot = s;
-        return true;
-      }
-    }
-    return false;
+  auto Current() const {
+    return [this] { return &core_; };
   }
 
-  // Try to place into an empty slot of b1/b2; caller holds the global lock.
-  bool AddIfRoom(std::size_t b1, std::size_t b2, std::uint8_t tag, const K& key,
-                 const V& value) REQUIRES(lock_) {
-    for (std::size_t b : {b1, b2}) {
-      int s = core_.FindEmptySlot(b);
+  // Under the global lock, apply `fn(at)` to the slot holding `key`, with
+  // its version stripe bumped. Returns false if the key is absent.
+  template <typename Fn>
+  bool ModifyExisting(const K& key, Fn&& fn) {
+    const HashedKey h = HashedKey::From(hasher_(key));
+    const std::size_t b1 = h.Bucket1(core_.mask);
+    ScopedLock<GlobalLock> g(lock_);
+    const Found<Core> f = FindKey(core_, b1, core_.AltBucket(b1, h.tag), h.tag, key, eq_);
+    if (f.core == nullptr) {
+      return false;
+    }
+    PairGuard bump(versions_, f.at.bucket, f.at.bucket);
+    fn(f.at);
+    return true;
+  }
+
+  // One insert's arguments, threaded through the two protocols.
+  struct InsertOp {
+    HashedKey h;
+    std::size_t b1;
+    std::size_t b2;
+    const K& key;
+    const V& value;
+    bool overwrite;  // Upsert: replace the value of an existing key
+  };
+
+  InsertResult DoInsert(const K& key, const V& value, bool overwrite) {
+    const std::uint64_t t0 = stats_.MaybeStartInsertTimer();
+    const HashedKey h = HashedKey::From(hasher_(key));
+    const std::size_t b1 = h.Bucket1(core_.mask);
+    const InsertOp op{h, b1, core_.AltBucket(b1, h.tag), key, value, overwrite};
+    const InsertResult r = opts_.lock_after_discovery ? InsertLockLater(op) : InsertLockFirst(op);
+    stats_.FinishInsertTimer(t0);
+    return r;
+  }
+
+  // Under the global lock: whether the key is present, overwriting its value
+  // if the op asks to.
+  bool Existing(const InsertOp& op) REQUIRES(lock_) {
+    const Found<Core> f = FindKey(core_, op.b1, op.b2, op.h.tag, op.key, eq_);
+    if (f.core == nullptr) {
+      return false;
+    }
+    if (op.overwrite) {
+      PairGuard bump(versions_, f.at.bucket, f.at.bucket);
+      core_.WriteValue(f.at.bucket, f.at.slot, op.value);
+    }
+    stats_.RecordDuplicateInsert();
+    return true;
+  }
+
+  // Under the global lock: the duplicate check, then a free slot in b1/b2.
+  // nullopt when the key is absent and both buckets are full.
+  std::optional<InsertResult> AddIfRoom(const InsertOp& op, std::size_t displaced)
+      REQUIRES(lock_) {
+    if (Existing(op)) {
+      return InsertResult::kKeyExists;
+    }
+    for (std::size_t b : {op.b1, op.b2}) {
+      const int s = core_.FindEmptySlot(b);
       if (s >= 0) {
-        BumpGuard bump(versions_, b);
-        core_.WriteSlot(b, s, tag, key, value);
-        return true;
+        Place(op, SlotRef{b, s}, displaced);
+        return InsertResult::kOk;
       }
     }
-    return false;
+    return std::nullopt;
+  }
+
+  // Construct the new item in the free slot `at`; `displaced` items were
+  // moved to make room for it.
+  void Place(const InsertOp& op, SlotRef at, std::size_t displaced) REQUIRES(lock_) {
+    PairGuard bump(versions_, at.bucket, at.bucket);
+    core_.ConstructSlot(at.bucket, at.slot, op.h.tag, op.key, op.value);
+    size_.Increment();
+    stats_.RecordInsert();
+    stats_.RecordPathLength(displaced);
   }
 
   bool SearchPath(std::size_t b1, std::size_t b2, CuckooPath* path) {
     stats_.RecordPathSearch();
-    if (opts_.search_mode == SearchMode::kBfs) {
-      return BfsSearch(core_, b1, b2, opts_.max_search_slots, opts_.prefetch, path);
-    }
-    return DfsSearch(core_, b1, b2, opts_.dfs_max_path_len, ThreadRng(), path);
+    return cuckoo::SearchPath(core_, b1, b2, search_, path);
   }
 
   // Execute `path` while holding the global lock, validating every hop before
-  // moving it. Validation is needed even in lock-first mode: a random-walk
-  // (or cyclic BFS) path can reference the same slot twice, and an earlier
-  // executed hop then invalidates a later one. Hops executed before a failed
-  // validation are individually correct displacements, so the table stays
-  // consistent and the caller simply searches again.
+  // moving it (engine.h ExecutePath; each hop bumps its pair's versions).
+  // Validation is needed even in lock-first mode: a random-walk (or cyclic
+  // BFS) path can reference the same slot twice. Hops executed before a
+  // failed validation are individually correct displacements, so the table
+  // stays consistent and the caller simply searches again.
   bool ExecutePathLocked(const CuckooPath& path) REQUIRES(lock_) {
-    if (path.hops.empty()) {
-      // A path that was never found moves nothing; without this guard the
-      // countdown below would start at SIZE_MAX and walk out of bounds.
-      return false;
-    }
-    for (std::size_t i = path.hops.size() - 1; i-- > 0;) {
-      const PathHop& from = path.hops[i];
-      const PathHop& to = path.hops[i + 1];
-      if (from.tag == 0 || core_.Tag(from.bucket, from.slot) != from.tag ||
-          core_.Tag(to.bucket, to.slot) != 0) {
-        return false;
-      }
-      BumpGuard bump_to(versions_, to.bucket);
-      BumpGuard bump_from(versions_, from.bucket);
-      core_.MoveSlot(from.bucket, from.slot, to.bucket, to.slot);
-      stats_.RecordDisplacements(1);
-    }
-    return true;
+    return ExecutePath(core_, path, PairLocked(versions_, [] { return true; }),
+                       [this](Core&, const PathHop&, const PathHop&) {
+                         stats_.RecordDisplacements(1);
+                       });
   }
 
   // Algorithm 1: the whole Insert (duplicate check, path search, execution)
   // is one critical section.
-  InsertResult InsertLockFirst(const HashedKey& h, std::size_t b1, std::size_t b2,
-                               const K& key, const V& value) {
+  InsertResult InsertLockFirst(const InsertOp& op) {
     ScopedLock<GlobalLock> g(lock_);
-    std::size_t bucket;
-    int slot;
-    if (FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-      stats_.RecordDuplicateInsert();
-      return InsertResult::kKeyExists;
+    if (const auto r = AddIfRoom(op, 0)) {
+      return *r;
     }
-    if (AddIfRoom(b1, b2, h.tag, key, value)) {
-      size_.Increment();
-      stats_.RecordInsert();
-      stats_.RecordPathLength(0);
-      return InsertResult::kOk;
-    }
-    std::size_t executed_path_len = 0;
+    std::size_t displaced = 0;
     for (;;) {
       CuckooPath path;
-      if (!SearchPath(b1, b2, &path)) {
+      if (!SearchPath(op.b1, op.b2, &path)) {
         stats_.RecordInsertFailure();
         return InsertResult::kTableFull;
       }
-      if (!ExecutePathLocked(path)) {
-        // Only possible via a self-overlapping path (no concurrent writers
-        // under the global lock); the partial execution perturbed the table,
-        // so the next search finds a different path.
-        stats_.RecordPathInvalidation();
-        continue;
-      }
+      // A failure is only possible via a self-overlapping path (no concurrent
+      // writers under the global lock); the partial execution perturbed the
+      // table, so the next search finds a different path.
       const PathHop& hole = path.hops.front();
-      if (core_.Tag(hole.bucket, hole.slot) != 0) {
+      if (!ExecutePathLocked(path) || core_.Tag(hole.bucket, hole.slot) != 0) {
         stats_.RecordPathInvalidation();
         continue;
       }
-      executed_path_len += path.Displacements();
-      BumpGuard bump(versions_, hole.bucket);
-      core_.WriteSlot(hole.bucket, hole.slot, h.tag, key, value);
-      size_.Increment();
-      stats_.RecordInsert();
-      stats_.RecordPathLength(executed_path_len);
+      displaced += path.Displacements();
+      Place(op, SlotRef{hole.bucket, hole.slot}, displaced);
       return InsertResult::kOk;
     }
   }
 
   // Algorithm 2: search for the cuckoo path outside the critical section, then
   // validate-and-execute under the lock, restarting if the path went stale.
-  InsertResult InsertLockLater(const HashedKey& h, std::size_t b1, std::size_t b2,
-                               const K& key, const V& value) {
-    std::size_t executed_path_len = 0;
+  InsertResult InsertLockLater(const InsertOp& op) {
+    std::size_t displaced = 0;
     for (;;) {
       // Unlocked availability probe (Algorithm 2 lines 3-8).
-      if (core_.FindEmptySlot(b1) >= 0 || core_.FindEmptySlot(b2) >= 0) {
+      if (core_.FindEmptySlot(op.b1) >= 0 || core_.FindEmptySlot(op.b2) >= 0) {
         ScopedLock<GlobalLock> g(lock_);
-        std::size_t bucket;
-        int slot;
-        if (FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-          stats_.RecordDuplicateInsert();
-          return InsertResult::kKeyExists;
-        }
-        if (AddIfRoom(b1, b2, h.tag, key, value)) {
-          size_.Increment();
-          stats_.RecordInsert();
-          stats_.RecordPathLength(executed_path_len);
-          return InsertResult::kOk;
+        if (const auto r = AddIfRoom(op, displaced)) {
+          return *r;
         }
         // Probe raced with another writer filling the bucket; fall through.
       }
 
       CuckooPath path;
-      if (!SearchPath(b1, b2, &path)) {
+      if (!SearchPath(op.b1, op.b2, &path)) {
         // Confirm fullness (and absence) under the lock before giving up.
         ScopedLock<GlobalLock> g(lock_);
-        std::size_t bucket;
-        int slot;
-        if (FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-          stats_.RecordDuplicateInsert();
-          return InsertResult::kKeyExists;
-        }
-        if (AddIfRoom(b1, b2, h.tag, key, value)) {
-          size_.Increment();
-          stats_.RecordInsert();
-          stats_.RecordPathLength(executed_path_len);
-          return InsertResult::kOk;
+        if (const auto r = AddIfRoom(op, displaced)) {
+          return *r;
         }
         stats_.RecordInsertFailure();
         return InsertResult::kTableFull;
@@ -428,41 +335,27 @@ class FlatCuckooMap {
       CUCKOO_TEST_POINT(TestPoint::kInsertAfterPathDiscovery);
       {
         ScopedLock<GlobalLock> g(lock_);
-        std::size_t bucket;
-        int slot;
-        if (FindSlotExclusive(b1, b2, h.tag, key, &bucket, &slot)) {
-          stats_.RecordDuplicateInsert();
+        if (Existing(op)) {
           return InsertResult::kKeyExists;
         }
-        if (!ExecutePathLocked(path)) {
+        // A zero-hop path's free slot may have been taken before we locked.
+        const PathHop& hole = path.hops.front();
+        if (!ExecutePathLocked(path) ||
+            (path.hops.size() == 1 && core_.Tag(hole.bucket, hole.slot) != 0)) {
           stats_.RecordPathInvalidation();
           continue;  // rediscover (Algorithm 2's while loop)
         }
-        const PathHop& hole = path.hops.front();
-        if (path.hops.size() == 1 && core_.Tag(hole.bucket, hole.slot) != 0) {
-          // Zero-hop path whose free slot was stolen before we locked.
-          stats_.RecordPathInvalidation();
-          continue;
-        }
-        executed_path_len += path.Displacements();
-        BumpGuard bump(versions_, hole.bucket);
-        core_.WriteSlot(hole.bucket, hole.slot, h.tag, key, value);
-        size_.Increment();
-        stats_.RecordInsert();
-        stats_.RecordPathLength(executed_path_len);
+        displaced += path.Displacements();
+        Place(op, SlotRef{hole.bucket, hole.slot}, displaced);
         return InsertResult::kOk;
       }
     }
   }
 
-  static Xorshift128Plus& ThreadRng() {
-    thread_local Xorshift128Plus rng(Mix64(0xf1a7ull + CurrentThreadId()));
-    return rng;
-  }
-
   FlatOptions opts_;
   Hash hasher_;
   KeyEqual eq_;
+  SearchParams search_;
   mutable LockStripes versions_;
   Core core_;
   mutable GlobalLock lock_;

@@ -13,9 +13,9 @@
 //   * every operation (including Find) takes the bucket-pair lock, so there
 //     is no optimistic read protocol and no trivially-copyable requirement;
 //   * displacements move-construct elements bucket-to-bucket;
-//   * old cores are retired (kept allocated but empty) after expansion: the
-//     unlocked BFS path search may still be scanning one; retired cores hold
-//     no live elements (moved out during rehash) and their total size is
+//   * old cores are retired (kept allocated until destruction) when the
+//     table grows: the unlocked BFS path search may still be scanning one;
+//     once drained they hold no live elements, and their total size is
 //     bounded by the live core's;
 //   * expansion is incremental when the table is large enough (see Expand):
 //     the doubled core is published lock-free, a background migrator drains
@@ -30,9 +30,10 @@
 //     so the ordinary pair lock for a key covers that key's buckets in BOTH
 //     cores at once. Small tables fall back to the stop-the-world rehash.
 //
-// The cuckoo algorithm itself is identical: tag-directed BFS path discovery
-// outside the critical section, per-displacement validate-and-execute under
-// striped bucket-pair locks.
+// The cuckoo algorithm itself is the shared engine (engine.h): tag-directed
+// BFS path discovery outside the critical section, per-displacement
+// validate-and-execute under striped bucket-pair locks. What is this map's
+// own is the migration window and the fuzzy snapshot walk.
 #ifndef SRC_CUCKOO_GENERAL_CUCKOO_MAP_H_
 #define SRC_CUCKOO_GENERAL_CUCKOO_MAP_H_
 
@@ -41,17 +42,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <new>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "src/common/atomic_util.h"
 #include "src/common/cpu.h"
 #include "src/common/hash.h"
 #include "src/common/mutex.h"
@@ -59,19 +57,21 @@
 #include "src/common/striped_locks.h"
 #include "src/common/test_points.h"
 #include "src/common/thread_annotations.h"
+#include "src/cuckoo/engine.h"
 #include "src/cuckoo/path_search.h"
-#include "src/cuckoo/simd_probe.h"
 #include "src/cuckoo/stats.h"
+#include "src/cuckoo/table_core.h"
 #include "src/cuckoo/types.h"
 
 namespace cuckoo {
 
 namespace internal {
 
-// B-way bucket storage for non-trivial types: a tag array (0 = empty) plus
-// uninitialized aligned storage for keys and values. Lifetime is managed
-// per-slot with placement new; the owner must destroy occupied slots before
-// the core is released (the destructor asserts nothing is leaked in debug).
+// B-way bucket storage for non-trivial types: the shared tag array
+// (table_core.h TagArray, 0 = empty) plus uninitialized aligned storage for
+// keys and values. Lifetime is managed per-slot with placement new; the
+// owner must destroy occupied slots before the core is released (the
+// destructor destroys any that are left).
 //
 // Storage is a PageBlock (anonymous mmap for large cores, optionally with
 // 2 MB huge-page backing) on purpose: the kernel's zero pages ARE the
@@ -79,29 +79,24 @@ namespace internal {
 // each page is faulted in by the first operation that touches it — not by
 // the one writer whose insert happened to trigger the expansion. (With
 // value-initialized storage, zeroing the x2 array was the dominant term of
-// the expansion stall.) Tags are plain bytes read/written through
-// std::atomic_ref; Bucket stays an implicit-lifetime type, so the zeroed
-// block itself starts the array's lifetime.
+// the expansion stall.) Bucket stays an implicit-lifetime type, so the
+// zeroed block itself starts the array's lifetime.
 template <typename K, typename V, int B>
-struct GeneralCore {
-  static constexpr int kSlotsPerBucket = B;
+struct GeneralCore : TagArray<B> {
+  using TagArray<B>::SetTag;
+  using TagArray<B>::Tag;
 
   struct Bucket {
-    // Accessed only via TagRef: the unlocked BFS path search reads tags
-    // concurrently with writers (relaxed; staleness is handled by
-    // execute-time validation).
-    std::uint8_t tags[B];
     alignas(K) unsigned char key_storage[B][sizeof(K)];
     alignas(V) unsigned char value_storage[B][sizeof(V)];
   };
   static_assert(std::is_trivially_copyable_v<Bucket> &&
                     std::is_trivially_default_constructible_v<Bucket>,
                 "zeroed storage must be able to start the bucket array's lifetime");
-  static_assert(std::atomic_ref<std::uint8_t>::required_alignment == 1);
 
   explicit GeneralCore(std::size_t bucket_count_log2, bool want_hugepages = false)
-      : mask((std::size_t{1} << bucket_count_log2) - 1),
-        block_((mask + 1) * sizeof(Bucket), want_hugepages),
+      : TagArray<B>(bucket_count_log2, want_hugepages),
+        block_(this->bucket_count() * sizeof(Bucket), want_hugepages),
         buckets(static_cast<Bucket*>(block_.data())) {}
 
   GeneralCore(const GeneralCore&) = delete;
@@ -110,27 +105,21 @@ struct GeneralCore {
   ~GeneralCore() {
     // Trivially destructible slots need no per-slot teardown, and skipping
     // the walk means a never-touched (calloc-lazy) region is never faulted
-    // in just to be freed.
+    // in just to be freed. (Clear() and canceled migrations need the tags
+    // actually zeroed, so they always call DestroyAll.)
     if constexpr (!(std::is_trivially_destructible_v<K> &&
                     std::is_trivially_destructible_v<V>)) {
-      DestroyAll();
+      DestroyAll(*this);
     }
   }
 
-  std::size_t bucket_count() const noexcept { return mask + 1; }
-  std::size_t slot_count() const noexcept { return bucket_count() * B; }
-
-  std::size_t HeapBytes() const noexcept { return bucket_count() * sizeof(Bucket); }
-
-  // Bytes granted MADV_HUGEPAGE backing (0 unless requested and honored).
-  std::size_t hugepage_bytes() const noexcept { return block_.hugepage_bytes(); }
-
-  std::atomic_ref<std::uint8_t> TagRef(std::size_t bucket, int slot) const noexcept {
-    return std::atomic_ref<std::uint8_t>(buckets[bucket].tags[slot]);
+  std::size_t HeapBytes() const noexcept {
+    return this->bucket_count() * sizeof(Bucket) + this->slot_count();
   }
 
-  std::uint8_t Tag(std::size_t bucket, int slot) const noexcept {
-    return TagRef(bucket, slot).load(std::memory_order_relaxed);
+  // Bytes granted MADV_HUGEPAGE backing (0 unless requested and honored).
+  std::size_t hugepage_bytes() const noexcept {
+    return this->tag_block_.hugepage_bytes() + block_.hugepage_bytes();
   }
 
   K& Key(std::size_t bucket, int slot) noexcept {
@@ -146,38 +135,17 @@ struct GeneralCore {
     return *std::launder(reinterpret_cast<const V*>(buckets[bucket].value_storage[slot]));
   }
 
-  // Snapshot of one bucket's B tags for the vectorized probe kernels
-  // (simd_probe.h) — the sanctioned tear-tolerant load. Element-wise relaxed
-  // atomic under TSan so the intentional race with unlocked BFS/peek readers
-  // stays annotated; a plain byte copy otherwise (the kernels reload from the
-  // private copy, never from the live array).
-  simd::TagGroup<B> LoadTagsVector(std::size_t bucket) const noexcept {
-    simd::TagGroup<B> g;
-#if CUCKOO_TSAN_ENABLED
-    for (int s = 0; s < B; ++s) {
-      g.bytes[s] = Tag(bucket, s);
-    }
-#else
-    std::memcpy(g.bytes, buckets[bucket].tags, B);
-#endif
-    return g;
-  }
-
-  int FindEmptySlot(std::size_t bucket) const noexcept {
-    return simd::FirstSlot(simd::EmptySlotMask<B>(LoadTagsVector(bucket)));
-  }
-
   template <typename KArg, typename VArg>
   void ConstructSlot(std::size_t bucket, int slot, std::uint8_t tag, KArg&& key, VArg&& value) {
     ::new (static_cast<void*>(buckets[bucket].key_storage[slot])) K(std::forward<KArg>(key));
     ::new (static_cast<void*>(buckets[bucket].value_storage[slot])) V(std::forward<VArg>(value));
-    TagRef(bucket, slot).store(tag, std::memory_order_relaxed);
+    SetTag(bucket, slot, tag);
   }
 
   void DestroySlot(std::size_t bucket, int slot) noexcept {
     Key(bucket, slot).~K();
     Value(bucket, slot).~V();
-    TagRef(bucket, slot).store(0, std::memory_order_relaxed);
+    SetTag(bucket, slot, 0);
   }
 
   // Move the element in (from, from_slot) to the empty (to, to_slot).
@@ -187,12 +155,6 @@ struct GeneralCore {
     DestroySlot(from, from_slot);
   }
 
-  std::size_t AltBucket(std::size_t bucket, std::uint8_t tag) const noexcept {
-    return (bucket ^ (static_cast<std::size_t>(Mix64(tag)) | 1u)) & mask;
-  }
-
-  void PrefetchTags(std::size_t bucket) const noexcept { PrefetchRead(&buckets[bucket]); }
-
   // Targeted prefetch for one movemask candidate: the key and value storage
   // lines of a specific slot (the batch pipeline calls this only for slots
   // whose tag already matched).
@@ -201,21 +163,6 @@ struct GeneralCore {
     PrefetchRead(&buckets[bucket].value_storage[slot]);
   }
 
-  // Empties every slot (destroy + tag = 0). Callers that only need the
-  // memory released use the destructor, which skips the walk for trivially
-  // destructible types; Clear() and canceled migrations need the tags
-  // actually zeroed and must use this.
-  void DestroyAll() noexcept {
-    for (std::size_t b = 0; b <= mask; ++b) {
-      for (int s = 0; s < B; ++s) {
-        if (Tag(b, s) != 0) {
-          DestroySlot(b, s);
-        }
-      }
-    }
-  }
-
-  std::size_t mask;
   PageBlock block_;
   Bucket* buckets;
 };
@@ -236,12 +183,10 @@ class GeneralCuckooMap {
     std::size_t stripe_count = LockStripes::kDefaultStripeCount;
     std::size_t max_search_slots = 2000;
     bool prefetch = true;
+    // Growth is online (a two-core migration window) whenever the
+    // stripe-alignment invariant holds: old_bucket_count % stripe_count == 0.
+    // Tables with fewer buckets than stripes use the stop-the-world rehash.
     bool auto_expand = true;
-    // Expand online (two-core migration window) whenever the stripe-alignment
-    // invariant holds: old_bucket_count % stripe_count == 0. Tables smaller
-    // than one bucket per stripe — and this flag off — use the stop-the-world
-    // rehash instead.
-    bool incremental_expand = true;
     // Old-core buckets a writer drains inline when its insert needs more room
     // while a migration window is still open (backpressure on the window).
     std::size_t help_drain_buckets = 64;
@@ -255,6 +200,7 @@ class GeneralCuckooMap {
       : opts_(opts),
         hasher_(std::move(hasher)),
         eq_(std::move(eq)),
+        search_{opts.max_search_slots, opts.prefetch},
         stripes_(opts.stripe_count),
         core_(std::make_unique<Core>(opts.initial_bucket_count_log2, opts.hugepages)) {
     stripes_.SetContentionCounter(stats_.ContentionCounter());
@@ -268,8 +214,8 @@ class GeneralCuckooMap {
   ~GeneralCuckooMap() {
     MutexLock maintenance(maintenance_mutex_);
     StopMigratorLocked();
-    // Elements still split across the live and draining cores are destroyed
-    // by the cores' own destructors.
+    // Elements still split across the live and draining (retired) cores are
+    // destroyed by the cores' own destructors.
   }
 
   // ----- Lookup (locked) -----------------------------------------------------
@@ -291,111 +237,39 @@ class GeneralCuckooMap {
   template <typename Fn>
   bool WithValue(const K& key, Fn&& fn) const {
     const std::uint64_t t0 = stats_.MaybeStartLookupTimer();
-    const HashedKey h = HashedKey::From(hasher_(key));
-    bool found = WithPair(h, [&](const PairView& v, PairGuard& guard) {
-      Locator loc;
-      Core* where = nullptr;
-      bool hit = FindInView(v, h.tag, key, &where, &loc);
-      if (hit) {
-        fn(const_cast<const Core&>(*where).Value(loc.bucket, loc.slot));
-      }
-      guard.ReleaseNoModify();
-      return hit;
-    });
+    const bool found = VisitLocked(HashedKey::From(hasher_(key)), key, fn);
     stats_.RecordLookup(found);
     stats_.FinishLookupTimer(t0);
     return found;
   }
 
-  // Batched lookup with software pipelining (the §4.3.2 prefetch insight
-  // applied to the locked read path): hashes and bucket prefetches for key
-  // i+D are issued while key i is probed, so the bucket pair is already in
-  // cache when its pair lock is taken. `fn(i, const V&)` is called under the
-  // bucket locks for every key that is present; returns the hit count.
-  // Concurrency-safe like WithValue; each probe is individually atomic (the
-  // batch as a whole is not a snapshot).
+  // Batched lookup with software pipelining (engine.h PipelinedProbe, the
+  // §4.3.2 prefetch insight applied to the locked read path): the bucket pair
+  // is already in cache when its pair lock is taken. `fn(i, const V&)` is
+  // called under the bucket locks for every key that is present; returns the
+  // hit count. Concurrency-safe like WithValue; each probe is individually
+  // atomic (the batch as a whole is not a snapshot).
   template <typename Fn>
   std::size_t WithValueBatch(const K* keys, std::size_t count, Fn&& fn) const {
-    // Three-stage pipeline, retuned for the vector probe kernel: hash + tag
-    // lines at distance kDepth, then at distance kPeek a racy movemask of the
-    // (likely now cached) tags prefetches key/value storage only for
-    // candidate slots. The peek is a pure prefetch hint — the locked probe at
-    // the pipeline head re-reads everything under the pair lock.
-    constexpr std::size_t kDepth = 8;  // hash + tag-line prefetch distance
-    constexpr std::size_t kPeek = 4;   // candidate key/value prefetch distance
-    HashedKey ring[kDepth];
-
-    auto stage = [&](std::size_t i) {
-      ring[i % kDepth] = HashedKey::From(hasher_(keys[i]));
-      Core* core = core_snapshot_.load(std::memory_order_acquire);
-      const std::size_t b1 = ring[i % kDepth].Bucket1(core->mask);
-      core->PrefetchTags(b1);
-      core->PrefetchTags(core->AltBucket(b1, ring[i % kDepth].tag));
-    };
-    auto peek = [&](std::size_t i) {
-      const HashedKey& h = ring[i % kDepth];
-      Core* core = core_snapshot_.load(std::memory_order_acquire);
-      const std::size_t b1 = h.Bucket1(core->mask);
-      const std::size_t b2 = core->AltBucket(b1, h.tag);
-      std::uint32_t cand =
-          simd::MatchTagMask2<B>(core->LoadTagsVector(b1), core->LoadTagsVector(b2), h.tag);
-      while (cand != 0) {
-        const int bit = simd::NextCandidate(&cand);
-        core->PrefetchSlot(bit < B ? b1 : b2, bit < B ? bit : bit - B);
-      }
-    };
-
-    const std::size_t lead = count < kDepth ? count : kDepth;
-    for (std::size_t i = 0; i < lead; ++i) {
-      stage(i);
-    }
-    for (std::size_t i = 0; i < (count < kPeek ? count : kPeek); ++i) {
-      peek(i);
-    }
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      // Probe before staging: ring[i % kDepth] is the slot stage(i + kDepth)
-      // would overwrite. peek(i + kPeek) reads an entry staged kDepth - kPeek
-      // iterations ago, untouched until stage(i + kDepth + kPeek).
-      const HashedKey& h = ring[i % kDepth];
-      bool hit = WithPair(h, [&](const PairView& v, PairGuard& guard) {
-        Locator loc;
-        Core* where = nullptr;
-        bool found = FindInView(v, h.tag, keys[i], &where, &loc);
-        if (found) {
-          fn(i, const_cast<const Core&>(*where).Value(loc.bucket, loc.slot));
-        }
-        guard.ReleaseNoModify();
-        return found;
-      });
-      if (i + kDepth < count) {
-        stage(i + kDepth);
-      }
-      if (i + kPeek < count) {
-        peek(i + kPeek);
-      }
-      hits += hit ? 1 : 0;
-      stats_.RecordLookup(hit);
-    }
-    // Distribution of hits per batched (prefetch-pipelined) lookup call.
-    stats_.RecordBatchHits(hits);
-    return hits;
+    return PipelinedProbe(keys, count, hasher_, stats_, Current(),
+                          [&](std::size_t i, const HashedKey& h) {
+                            auto visit = [&](const V& v) { fn(i, v); };
+                            return VisitLocked(h, keys[i], visit);
+                          });
   }
 
   // Apply `fn(V&)` to the mapped value (mutable) under the bucket locks.
   template <typename Fn>
   bool WithValueMut(const K& key, Fn&& fn) {
-    const HashedKey h = HashedKey::From(hasher_(key));
-    return WithPair(h, [&](const PairView& v, PairGuard& guard) {
-      Locator loc;
-      Core* where = nullptr;
-      if (!FindInView(v, h.tag, key, &where, &loc)) {
-        guard.ReleaseNoModify();
-        return false;
-      }
-      fn(where->Value(loc.bucket, loc.slot));
-      return true;  // guard bumps versions on destruction
-    });
+    return WithFound(HashedKey::From(hasher_(key)), key,
+                     [&](const Found<Core>& f, PairGuard& guard) {
+                       if (f.core == nullptr) {
+                         guard.ReleaseNoModify();
+                         return false;
+                       }
+                       fn(f.core->Value(f.at.bucket, f.at.slot));
+                       return true;  // guard bumps versions on destruction
+                     });
   }
 
   // ----- Mutation ------------------------------------------------------------
@@ -457,21 +331,19 @@ class GeneralCuckooMap {
   // slot is destroyed (same WAL-ordering rationale as UpsertThen).
   template <typename Pred, typename After>
   bool EraseIfThen(const K& key, Pred&& pred, After&& after) {
-    const HashedKey h = HashedKey::From(hasher_(key));
-    return WithPair(h, [&](const PairView& v, PairGuard& guard) {
-      Locator loc;
-      Core* where = nullptr;
-      if (!FindInView(v, h.tag, key, &where, &loc) ||
-          !pred(const_cast<const Core&>(*where).Value(loc.bucket, loc.slot))) {
-        guard.ReleaseNoModify();
-        return false;
-      }
-      where->DestroySlot(loc.bucket, loc.slot);
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      stats_.RecordErase();
-      after();
-      return true;
-    });
+    return WithFound(HashedKey::From(hasher_(key)), key,
+                     [&](const Found<Core>& f, PairGuard& guard) {
+                       if (f.core == nullptr ||
+                           !pred(std::as_const(*f.core).Value(f.at.bucket, f.at.slot))) {
+                         guard.ReleaseNoModify();
+                         return false;
+                       }
+                       f.core->DestroySlot(f.at.bucket, f.at.slot);
+                       size_.fetch_sub(1, std::memory_order_relaxed);
+                       stats_.RecordErase();
+                       after();
+                       return true;
+                     });
   }
 
   // ----- Capacity ------------------------------------------------------------
@@ -485,21 +357,21 @@ class GeneralCuckooMap {
     MutexLock g(maintenance_mutex_);
     return static_cast<double>(Size()) / static_cast<double>(core_->slot_count());
   }
+  // Approximate heap usage: live core + stripes + every retired core (the
+  // draining core of an open window among them), which stays mapped until
+  // destruction for the unlocked path search (see retired_).
   std::size_t HeapBytes() const noexcept {
     MutexLock g(maintenance_mutex_);
-    return core_->HeapBytes() +
-           (draining_core_ != nullptr ? draining_core_->HeapBytes() : 0) +
-           stripes_.stripe_count() * sizeof(PaddedVersionLock);
+    std::size_t bytes = core_->HeapBytes() + stripes_.stripe_count() * sizeof(PaddedVersionLock);
+    for (const auto& retired : retired_) {
+      bytes += retired->HeapBytes();
+    }
+    return bytes;
   }
 
+  // Grow until at least `n` items fit below ~95% occupancy.
   void Reserve(std::size_t n) {
-    while (true) {
-      {
-        MutexLock g(maintenance_mutex_);
-        if (static_cast<double>(core_->slot_count()) * 0.95 >= static_cast<double>(n) + B) {
-          return;
-        }
-      }
+    while (SlotCount() < ReserveSlots(n, B)) {
       Expand(nullptr);
     }
   }
@@ -508,15 +380,14 @@ class GeneralCuckooMap {
     MutexLock maintenance(maintenance_mutex_);
     StopMigratorLocked();
     AllGuard all(stripes_);
-    if (draining_core_ != nullptr) {
+    if (migration_state_ != nullptr) {
       // A canceled migration leaves elements split across both cores; empty
-      // and retire the old one (stale readers may still probe it — they find
-      // only zero tags).
-      draining_core_->DestroyAll();
-      retired_.push_back(std::move(draining_core_));
+      // the old (already retired) one — stale readers may still probe it and
+      // find only zero tags.
+      DestroyAll(*migration_state_->old_core);
       retired_migrations_.push_back(std::move(migration_state_));
     }
-    core_->DestroyAll();
+    DestroyAll(*core_);
     size_.store(0, std::memory_order_relaxed);
   }
 
@@ -554,8 +425,9 @@ class GeneralCuckooMap {
   //
   // Cuckoo displacements can move an element from a not-yet-visited bucket
   // into an already-visited one, which would make the walk miss it entirely;
-  // while a walk is active, ExecutePath records every moved element into a
-  // side log that is drained (re-emitted through `fn`) after the last bucket.
+  // while a walk is active, every displacement and migration move records the
+  // moved element (LogDisplaced, the engine's on-move hook) into a side log
+  // that is drained (re-emitted through `fn`) after the last bucket.
   // Duplicate emissions are possible and expected — consumers load snapshots
   // with upsert semantics and WAL replay fixes up any stale copy.
   //
@@ -611,7 +483,8 @@ class GeneralCuckooMap {
   void ForEach(Fn&& fn) {
     MutexLock maintenance(maintenance_mutex_);
     AllGuard all(stripes_);
-    for (Core* core : {core_.get(), draining_core_.get()}) {
+    Core* draining = migration_state_ != nullptr ? migration_state_->old_core : nullptr;
+    for (Core* core : {core_.get(), draining}) {
       if (core == nullptr) {
         continue;
       }
@@ -626,11 +499,6 @@ class GeneralCuckooMap {
   }
 
  private:
-  struct Locator {
-    std::size_t bucket;
-    int slot;
-  };
-
   // State of one incremental expansion: the old core being drained, the live
   // core that replaced it, and a bitmap recording which old buckets are
   // permanently empty. Retired (kept allocated) after the window closes, like
@@ -646,7 +514,6 @@ class GeneralCuckooMap {
     // bits are monotone 0 -> 1, so a stale unlocked read only costs a
     // redundant probe of an empty bucket.
     std::unique_ptr<std::atomic<std::uint64_t>[]> migrated_words;
-    std::atomic<std::size_t> buckets_done{0};
     // Round-robin cursor handing out help-drain chunks to writers.
     std::atomic<std::size_t> help_cursor{0};
     std::atomic<bool> cancel{false};
@@ -692,73 +559,62 @@ class GeneralCuckooMap {
     }
   };
 
-  // Run `fn(view, guard)` with the key's bucket pair locked, re-resolving
-  // buckets if an expansion swapped the core while we waited. `fn` may
-  // release the guard early; otherwise its destructor bumps the stripe
-  // versions (treated as a modification).
-  template <typename Fn>
-  decltype(auto) WithPair(const HashedKey& h, Fn&& fn) const {
-    for (;;) {
-      Core* core = core_snapshot_.load(std::memory_order_acquire);
-      std::size_t b1 = h.Bucket1(core->mask);
-      std::size_t b2 = core->AltBucket(b1, h.tag);
-      PairGuard guard(stripes_, b1, b2);
-      if (core_snapshot_.load(std::memory_order_relaxed) != core) {
-        guard.ReleaseNoModify();
-        continue;
-      }
-      PairView view{core, b1, b2, nullptr, 0, 0};
-      MigrationState* ms = migration_.load(std::memory_order_acquire);
-      // Honor the window only when the loaded state matches the loaded core:
-      // a mismatched (stale) pairing would resolve old-core buckets against
-      // the wrong mask. Ignoring a mismatch is always safe — a state whose
-      // new_core is not the validated core is either already fully drained
-      // (its old core holds only zero tags) or belongs to a core this
-      // operation can no longer be running against (the switch publishes
-      // migration_ before core_snapshot_, and the validation above pins the
-      // core for the whole critical section).
-      if (ms != nullptr && ms->new_core == core) {
-        view.ms = ms;
-        view.ob1 = b1 & ms->old_core->mask;
-        view.ob2 = b2 & ms->old_core->mask;
-      }
-      return fn(view, guard);
-    }
+  // The live core, as every operation resolves it.
+  auto Current() const {
+    return [this] { return core_snapshot_.load(std::memory_order_acquire); };
   }
 
-  bool FindSlotLocked(Core* core, std::size_t b1, std::size_t b2, std::uint8_t tag,
-                      const K& key, Locator* loc) const {
-    // One vectorized probe answers both buckets: candidate bits [0, B) are
-    // b1's tag matches, [B, 2B) are b2's, walked in probe order.
-    std::uint32_t cand =
-        simd::MatchTagMask2<B>(core->LoadTagsVector(b1), core->LoadTagsVector(b2), tag);
-    while (cand != 0) {
-      const int bit = simd::NextCandidate(&cand);
-      const std::size_t b = bit < B ? b1 : b2;
-      const int s = bit < B ? bit : bit - B;
-      if (eq_(const_cast<const Core&>(*core).Key(b, s), key)) {
-        loc->bucket = b;
-        loc->slot = s;
-        return true;
-      }
+  // The key's view of the locked bucket pair in `core`. Honors the migration
+  // window only when the loaded state matches the core: a mismatched (stale)
+  // pairing would resolve old-core buckets against the wrong mask. Ignoring a
+  // mismatch is always safe — a state whose new_core is not the validated
+  // core is either already fully drained (its old core holds only zero tags)
+  // or belongs to a core this operation can no longer be running against
+  // (the switch publishes migration_ before core_snapshot_, and the pair
+  // lock's validation pins the core for the whole critical section).
+  PairView ViewOf(Core& core, std::size_t b1, std::size_t b2) const {
+    PairView view{&core, b1, b2, nullptr, 0, 0};
+    MigrationState* ms = migration_.load(std::memory_order_acquire);
+    if (ms != nullptr && ms->new_core == &core) {
+      view.ms = ms;
+      view.ob1 = b1 & ms->old_core->mask;
+      view.ob2 = b2 & ms->old_core->mask;
     }
-    return false;
+    return view;
   }
 
   // Two-core probe: live core first, then the draining core unless its
   // bitmap says this key's old buckets are empty. A key lives in at most one
   // core (fresh inserts go live-only; migration moves, never copies).
-  bool FindInView(const PairView& v, std::uint8_t tag, const K& key, Core** where,
-                  Locator* loc) const {
-    if (FindSlotLocked(v.core, v.b1, v.b2, tag, key, loc)) {
-      *where = v.core;
-      return true;
+  Found<Core> FindInView(const PairView& v, std::uint8_t tag, const K& key) const {
+    Found<Core> f = FindKey(*v.core, v.b1, v.b2, tag, key, eq_);
+    if (f.core == nullptr && v.OldMayHold()) {
+      f = FindKey(*v.ms->old_core, v.ob1, v.ob2, tag, key, eq_);
     }
-    if (v.OldMayHold() && FindSlotLocked(v.ms->old_core, v.ob1, v.ob2, tag, key, loc)) {
-      *where = v.ms->old_core;
-      return true;
-    }
-    return false;
+    return f;
+  }
+
+  // Run `fn(found, guard)` with the key's bucket pair locked (engine.h
+  // WithKeyPair), `found` locating the key in either core. `fn` may release
+  // the guard early; otherwise its destructor bumps the stripe versions.
+  template <typename Fn>
+  decltype(auto) WithFound(const HashedKey& h, const K& key, Fn&& fn) const {
+    return WithKeyPair(stripes_, Current(), h,
+                       [&](Core& core, std::size_t b1, std::size_t b2, PairGuard& guard) {
+                         return fn(FindInView(ViewOf(core, b1, b2), h.tag, key), guard);
+                       });
+  }
+
+  // Locked read: `fn(const V&)` on the key's value, if present.
+  template <typename Fn>
+  bool VisitLocked(const HashedKey& h, const K& key, Fn& fn) const {
+    return WithFound(h, key, [&](const Found<Core>& f, PairGuard& guard) {
+      if (f.core != nullptr) {
+        fn(std::as_const(*f.core).Value(f.at.bucket, f.at.slot));
+      }
+      guard.ReleaseNoModify();
+      return f.core != nullptr;
+    });
   }
 
   // `after(const V& stored)` runs under the pair guard at every point where
@@ -769,118 +625,59 @@ class GeneralCuckooMap {
   InsertResult DoInsert(KArg&& key, VArg&& value, bool overwrite_existing, OnOld&& on_old,
                         After&& after) {
     const std::uint64_t t0 = stats_.MaybeStartInsertTimer();
-    const InsertResult r = DoInsertLoop(std::forward<KArg>(key), std::forward<VArg>(value),
-                                        overwrite_existing, std::forward<OnOld>(on_old),
-                                        std::forward<After>(after));
+    const HashedKey h = HashedKey::From(hasher_(key));
+    const InsertResult r = InsertLoop(
+        stripes_, stats_, search_, h, Current(),
+        [&](Core& core, std::size_t b1, std::size_t b2) {
+          const PairView v = ViewOf(core, b1, b2);
+          Found<Core> f = FindInView(v, h.tag, key);
+          // Piggyback-migrate: while the stripes are held anyway, drain the
+          // same-tag residents of the touched old buckets (bounded work, no
+          // path search — their candidate buckets are under these stripes).
+          if (f.core == nullptr && v.OldMayHold()) {
+            f.moved = PiggybackMigrateLocked(v, h.tag) > 0;
+          }
+          return f;
+        },
+        [&](Core& where, SlotRef at) {
+          if (!overwrite_existing) {
+            return false;
+          }
+          // Overwrite in place, even when the slot still lives in the
+          // draining core — the migrator will carry the new value over.
+          on_old(std::as_const(where).Value(at.bucket, at.slot));
+          where.Value(at.bucket, at.slot) = V(std::forward<VArg>(value));
+          after(std::as_const(where).Value(at.bucket, at.slot));
+          return true;
+        },
+        [&](Core& core, SlotRef at) {
+          core.ConstructSlot(at.bucket, at.slot, h.tag, std::forward<KArg>(key),
+                             std::forward<VArg>(value));
+          size_.fetch_add(1, std::memory_order_relaxed);
+          after(std::as_const(core).Value(at.bucket, at.slot));
+        },
+        [this](Core* core) {
+          if (opts_.auto_expand) {
+            Expand(core);
+          }
+          return opts_.auto_expand;
+        },
+        [this](Core& core, const PathHop&, const PathHop& to) {
+          LogDisplaced(core, to.bucket, to.slot);
+        });
     stats_.FinishInsertTimer(t0);
     return r;
   }
 
-  template <typename KArg, typename VArg, typename OnOld, typename After>
-  InsertResult DoInsertLoop(KArg&& key, VArg&& value, bool overwrite_existing, OnOld&& on_old,
-                            After&& after) {
-    const HashedKey h = HashedKey::From(hasher_(key));
-    for (;;) {
-      std::optional<InsertResult> fast = WithPair(
-          h, [&](const PairView& v, PairGuard& guard) -> std::optional<InsertResult> {
-            Locator loc;
-            Core* where = nullptr;
-            if (FindInView(v, h.tag, key, &where, &loc)) {
-              if (overwrite_existing) {
-                // Overwrite in place, even when the slot still lives in the
-                // draining core — the migrator will carry the new value over.
-                on_old(const_cast<const Core&>(*where).Value(loc.bucket, loc.slot));
-                where->Value(loc.bucket, loc.slot) = V(std::forward<VArg>(value));
-                stats_.RecordDuplicateInsert();
-                after(const_cast<const Core&>(*where).Value(loc.bucket, loc.slot));
-                return InsertResult::kKeyExists;
-              }
-              guard.ReleaseNoModify();
-              stats_.RecordDuplicateInsert();
-              return InsertResult::kKeyExists;
-            }
-            // Piggyback-migrate: while the stripes are held anyway, drain the
-            // same-tag residents of the touched old buckets (bounded work, no
-            // path search — their candidate buckets are under these stripes).
-            std::size_t moved = 0;
-            if (v.OldMayHold()) {
-              moved = PiggybackMigrateLocked(v, h.tag);
-            }
-            for (std::size_t b : {v.b1, v.b2}) {
-              int s = v.core->FindEmptySlot(b);
-              if (s >= 0) {
-                v.core->ConstructSlot(b, s, h.tag, std::forward<KArg>(key),
-                                      std::forward<VArg>(value));
-                size_.fetch_add(1, std::memory_order_relaxed);
-                stats_.RecordInsert();
-                after(const_cast<const Core&>(*v.core).Value(b, s));
-                return InsertResult::kOk;
-              }
-            }
-            if (moved == 0) {
-              guard.ReleaseNoModify();
-            }
-            return std::nullopt;
-          });
-      if (fast.has_value()) {
-        return *fast;
-      }
-
-      // Both buckets full: BFS outside any lock, then validated execution.
-      Core* core = core_snapshot_.load(std::memory_order_acquire);
-      const std::size_t b1 = h.Bucket1(core->mask);
-      const std::size_t b2 = core->AltBucket(b1, h.tag);
-      stats_.RecordPathSearch();
-      CuckooPath path;
-      if (!BfsSearch(*core, b1, b2, opts_.max_search_slots, opts_.prefetch, &path)) {
-        if (!opts_.auto_expand) {
-          stats_.RecordInsertFailure();
-          return InsertResult::kTableFull;
-        }
-        Expand(core);
-        continue;
-      }
-      if (ExecutePath(core, path)) {
-        stats_.RecordPathLength(path.Displacements());
-      } else {
-        stats_.RecordPathInvalidation();
-      }
-    }
-  }
-
-  bool ExecutePath(Core* core, const CuckooPath& path) {
-    if (path.hops.empty()) {
-      // A path that was never found moves nothing; without this guard the
-      // countdown below would start at SIZE_MAX and walk out of bounds.
-      return false;
-    }
-    for (std::size_t i = path.hops.size() - 1; i-- > 0;) {
-      const PathHop& from = path.hops[i];
-      const PathHop& to = path.hops[i + 1];
-      PairGuard guard(stripes_, from.bucket, to.bucket);
-      if (core_snapshot_.load(std::memory_order_relaxed) != core || from.tag == 0 ||
-          core->Tag(from.bucket, from.slot) != from.tag ||
-          core->Tag(to.bucket, to.slot) != 0) {
-        guard.ReleaseNoModify();
-        return false;
-      }
-      core->MoveSlot(from.bucket, from.slot, to.bucket, to.slot);
-      stats_.RecordDisplacements(1);
-      if (snapshot_active_.load(std::memory_order_acquire)) {
-        // A displacement can move an element from a bucket the snapshot walk
-        // has not reached yet into one it already visited, hiding it from the
-        // walk; log a copy so TrySnapshotBuckets can re-emit it. We hold the
-        // pair lock on both buckets, so the copy is race-free.
-        LogDisplaced(*core, to.bucket, to.slot);
-      }
-    }
-    return true;
-  }
-
-  // Record a copy of the element now at (bucket, slot) into the displacement
-  // side log for an active snapshot walk. Caller holds a lock covering the
-  // bucket.
+  // The on-move hook of every concurrent move: a displacement (or a
+  // migration move) can carry an element from a bucket an active snapshot
+  // walk has not reached into one it already visited, hiding it from the
+  // walk; log a copy so TrySnapshotBuckets can re-emit it. Caller holds a
+  // lock covering the bucket, so the copy is race-free.
   void LogDisplaced(const Core& core, std::size_t bucket, int slot) const {
+    if (!snapshot_active_.load(std::memory_order_acquire)) {
+      return;
+    }
     if constexpr (std::is_copy_constructible_v<K> && std::is_copy_constructible_v<V>) {
       MutexLock g(displaced_mutex_);
       displaced_log_.emplace_back(core.Key(bucket, slot), core.Value(bucket, slot));
@@ -998,8 +795,8 @@ class GeneralCuckooMap {
     return true;
   }
 
-  // Grow the table. When the stripe-alignment invariant holds (and
-  // incremental_expand is on) the expansion is online: the doubled core and
+  // Grow the table. When the stripe-alignment invariant holds the expansion
+  // is online: the doubled core and
   // a MigrationState are published without taking a single stripe — the
   // writer-visible pause is just that publication — and the old core drains
   // through the background migrator plus writer piggybacking. Otherwise the
@@ -1034,16 +831,18 @@ class GeneralCuckooMap {
   }
 
   bool IncrementalEligibleLocked() const REQUIRES(maintenance_mutex_) {
-    return opts_.incremental_expand &&
-           core_->bucket_count() % stripes_.stripe_count() == 0;
+    return core_->bucket_count() % stripes_.stripe_count() == 0;
   }
 
-  static std::size_t CoreLog2(const Core& core) noexcept {
-    std::size_t log2 = 0;
-    while ((std::size_t{1} << log2) <= core.mask) {
-      ++log2;
-    }
-    return log2;
+  // Retire the live core and publish `fresh` in its place. The old core
+  // stays mapped until destruction: an in-flight (unlocked) BFS search, or an
+  // operation holding a stale MigrationState, may still read its tags.
+  void PublishLocked(std::unique_ptr<Core> fresh) REQUIRES(maintenance_mutex_) {
+    retired_.push_back(std::move(core_));
+    core_ = std::move(fresh);
+    stats_.SetHugepageBytes(core_->hugepage_bytes());
+    core_snapshot_.store(core_.get(), std::memory_order_release);
+    stats_.RecordExpansion();
   }
 
   // Open an incremental window: publish the doubled core and the migration
@@ -1058,16 +857,12 @@ class GeneralCuckooMap {
     CUCKOO_TEST_POINT(TestPoint::kExpansionCoreAllocated);
     const std::uint64_t pause_start = NowNanos();
     migration_state_ = std::make_unique<MigrationState>(core_.get(), fresh.get());
-    draining_core_ = std::move(core_);
-    core_ = std::move(fresh);
-    stats_.SetHugepageBytes(core_->hugepage_bytes());
     // Publication order matters: the state must be visible before any
     // operation can observe the new core (WithPair acquire-loads the core
     // first, then the state; seeing the new core without the state would
     // skip the old-core probe and miss every unmigrated resident).
     migration_.store(migration_state_.get(), std::memory_order_release);
-    core_snapshot_.store(core_.get(), std::memory_order_release);
-    stats_.RecordExpansion();
+    PublishLocked(std::move(fresh));
     stats_.RecordMigrationStarted(migration_state_->old_bucket_count);
     stats_.RecordExpansionPauseNanos(NowNanos() - pause_start);
     migrator_ = std::thread(&GeneralCuckooMap::MigratorMain, this, migration_state_.get());
@@ -1077,33 +872,14 @@ class GeneralCuckooMap {
     // First-attempt core allocated (and zeroed) before the stripes are
     // taken: the multi-MB clear is the bulk of a large expansion's wall time
     // and must not extend the writer-visible pause.
-    std::size_t new_log2 = CoreLog2(*core_) + 1;
-    auto fresh = std::make_unique<Core>(new_log2, opts_.hugepages);
+    auto fresh = std::make_unique<Core>(CoreLog2(*core_) + 1, opts_.hugepages);
     CUCKOO_TEST_POINT(TestPoint::kExpansionCoreAllocated);
     // Expansion pause = the full-table lock hold: every writer (and locked
     // reader) is stalled from here until the stripes release.
     const std::uint64_t pause_start = NowNanos();
     AllGuard all(stripes_);
-    for (;;) {
-      if (RehashInto(*core_, *fresh)) {
-        // The old core must stay mapped: an in-flight (unlocked) BFS search
-        // may still be reading its tag bytes. It holds no live elements
-        // (RehashInto destroyed each source slot after moving it), so
-        // retiring it costs only its bucket array.
-        retired_.push_back(std::move(core_));
-        core_ = std::move(fresh);
-        stats_.SetHugepageBytes(core_->hugepage_bytes());
-        core_snapshot_.store(core_.get(), std::memory_order_release);
-        stats_.RecordExpansion();
-        stats_.RecordExpansionPauseNanos(NowNanos() - pause_start);
-        return;
-      }
-      // Rehash failed (pathological collisions): recover the moved elements
-      // and retry one size larger. The retry allocation happens inside the
-      // pause — rare enough that correctness beats accounting here.
-      RecoverFrom(*core_, *fresh);
-      fresh = std::make_unique<Core>(++new_log2, opts_.hugepages);
-    }
+    PublishLocked(RehashInto(*core_, std::move(fresh), HashOf(hasher_), search_, opts_.hugepages));
+    stats_.RecordExpansionPauseNanos(NowNanos() - pause_start);
   }
 
   // ----- Incremental migration ----------------------------------------------
@@ -1127,7 +903,6 @@ class GeneralCuckooMap {
     if (migrator_.joinable()) {
       migrator_.join();
     }
-    retired_.push_back(std::move(draining_core_));
     retired_migrations_.push_back(std::move(migration_state_));
   }
 
@@ -1190,12 +965,7 @@ class GeneralCuckooMap {
         }
       }
       if (!occupied) {
-        // Mark inside the critical section: the bit's meaning ("permanently
-        // empty") is ordered by this stripe lock.
-        if (ms->MarkMigrated(b)) {
-          ms->buckets_done.fetch_add(1, std::memory_order_relaxed);
-          stats_.RecordMigrationBucketDone();
-        }
+        MarkDrained(ms, b);
         stripes_.UnlockStripeNoModify(stripe);
         return true;
       }
@@ -1222,8 +992,7 @@ class GeneralCuckooMap {
       Core* core = ms->new_core;
       const std::size_t b1 = h.Bucket1(core->mask);
       const std::size_t b2 = core->AltBucket(b1, h.tag);
-      HashedKey blocked{};
-      bool need_room = false;
+      HashedKey blocked{};  // tag 0: nothing blocked
       {
         PairGuard guard(stripes_, b1, b2);
         if (core_snapshot_.load(std::memory_order_relaxed) != core) {
@@ -1233,39 +1002,19 @@ class GeneralCuckooMap {
           return true;
         }
         const std::size_t old_mask = ms->old_core->mask;
-        std::size_t moved = 0;
-        for (std::size_t ob : {b1 & old_mask, b2 & old_mask}) {
-          if (ms->BucketMigrated(ob)) {
-            continue;
-          }
-          for (int s = 0; s < B; ++s) {
-            if (ms->old_core->Tag(ob, s) != h.tag) {
-              continue;
-            }
-            const HashedKey eh = HashedKey::From(hasher_(ms->old_core->Key(ob, s)));
-            if (TryMoveAcrossLocked(ms, ob, s, eh)) {
-              ++moved;
-            } else {
-              blocked = eh;
-              need_room = true;
-            }
-          }
-          MaybeMarkDrainedLocked(ms, ob);
-        }
-        if (moved == 0) {
+        if (MoveAcrossLocked(ms, b1 & old_mask, b2 & old_mask, h.tag, &blocked) == 0) {
           guard.ReleaseNoModify();
         }
       }
-      if (!need_room) {
+      if (blocked.tag == 0) {
         return true;
       }
       // Open a hole next to the blocked element's live candidates, exactly
       // like a regular insert would.
       stats_.RecordPathSearch();
       const std::size_t c1 = blocked.Bucket1(core->mask);
-      const std::size_t c2 = core->AltBucket(c1, blocked.tag);
       CuckooPath path;
-      if (!BfsSearch(*core, c1, c2, opts_.max_search_slots, opts_.prefetch, &path)) {
+      if (!SearchPath(*core, c1, core->AltBucket(c1, blocked.tag), search_, &path)) {
         // The live core (2x the draining one) cannot absorb the leftovers:
         // writers outran the drain. After a few attempts, finish the window
         // stop-the-world rather than livelock.
@@ -1276,52 +1025,70 @@ class GeneralCuckooMap {
         continue;
       }
       bfs_failures = 0;
-      if (ExecutePath(core, path)) {
-        stats_.RecordPathLength(path.Displacements());
-      } else {
+      auto still_current = [&] { return core_snapshot_.load(std::memory_order_relaxed) == core; };
+      auto on_move = [this](Core& c, const PathHop&, const PathHop& to) {
+        stats_.RecordDisplacements(1);
+        LogDisplaced(c, to.bucket, to.slot);
+      };
+      if (!ExecutePath(*core, path, PairLocked(stripes_, still_current), on_move)) {
         stats_.RecordPathInvalidation();
       }
     }
   }
 
-  // Move old(ob, s) into the live core if one of its candidate buckets has a
-  // free slot; the caller holds the stripe pair covering ob and (by the
-  // alignment invariant) both live candidates. Returns false if both are
-  // full.
-  bool TryMoveAcrossLocked(MigrationState* ms, std::size_t ob, int s,
-                           const HashedKey& eh) NO_THREAD_SAFETY_ANALYSIS {
+  // Move the old-core residents of ob1/ob2 whose tag is `tag` into the live
+  // core, each into a free slot of one of its candidate buckets, and mark
+  // every old bucket that ends up empty. The caller holds the stripe pair
+  // covering ob1/ob2 and, by the alignment invariant, every live candidate.
+  // Returns the moves made; a resident whose candidates are both full is
+  // left in place and reported in *blocked.
+  std::size_t MoveAcrossLocked(MigrationState* ms, std::size_t ob1, std::size_t ob2,
+                               std::uint8_t tag, HashedKey* blocked) NO_THREAD_SAFETY_ANALYSIS {
+    Core* from = ms->old_core;
     Core* to = ms->new_core;
-    const std::size_t c1 = eh.Bucket1(to->mask);
-    const std::size_t c2 = to->AltBucket(c1, eh.tag);
-    for (std::size_t c : {c1, c2}) {
-      const int cs = to->FindEmptySlot(c);
-      if (cs < 0) {
+    std::size_t moved = 0;
+    for (std::size_t ob : {ob1, ob2}) {
+      if (ms->BucketMigrated(ob)) {
         continue;
       }
-      to->ConstructSlot(c, cs, eh.tag, std::move(ms->old_core->Key(ob, s)),
-                        std::move(ms->old_core->Value(ob, s)));
-      ms->old_core->DestroySlot(ob, s);
-      stats_.RecordMigratedEntry();
-      if (snapshot_active_.load(std::memory_order_acquire)) {
+      bool empty = true;
+      for (int s = 0; s < B; ++s) {
+        if (from->Tag(ob, s) != tag) {
+          empty = empty && from->Tag(ob, s) == 0;
+          continue;
+        }
+        const HashedKey eh = HashedKey::From(hasher_(from->Key(ob, s)));
+        const std::size_t c1 = eh.Bucket1(to->mask);
+        SlotRef at{c1, to->FindEmptySlot(c1)};
+        if (at.slot < 0) {
+          at.bucket = to->AltBucket(c1, eh.tag);
+          at.slot = to->FindEmptySlot(at.bucket);
+        }
+        if (at.slot < 0) {
+          *blocked = eh;
+          empty = false;
+          continue;
+        }
+        to->ConstructSlot(at.bucket, at.slot, eh.tag, std::move(from->Key(ob, s)),
+                          std::move(from->Value(ob, s)));
+        from->DestroySlot(ob, s);
+        stats_.RecordMigratedEntry();
         // A migration move can cross the snapshot walk frontier in either
         // core; log it like any displacement.
-        LogDisplaced(*to, c, cs);
+        LogDisplaced(*to, at.bucket, at.slot);
+        ++moved;
       }
-      return true;
+      if (empty) {
+        MarkDrained(ms, ob);
+      }
     }
-    return false;
+    return moved;
   }
 
-  // Set the migrated bit if the old bucket is now empty. Caller holds the
-  // bucket's stripe.
-  void MaybeMarkDrainedLocked(MigrationState* ms, std::size_t ob) NO_THREAD_SAFETY_ANALYSIS {
-    for (int s = 0; s < B; ++s) {
-      if (ms->old_core->Tag(ob, s) != 0) {
-        return;
-      }
-    }
+  // Set the bucket's migrated bit. The caller holds the bucket's stripe, so
+  // the bit's meaning ("permanently empty") is ordered by that lock.
+  void MarkDrained(MigrationState* ms, std::size_t ob) {
     if (ms->MarkMigrated(ob)) {
-      ms->buckets_done.fetch_add(1, std::memory_order_relaxed);
       stats_.RecordMigrationBucketDone();
     }
   }
@@ -1332,22 +1099,8 @@ class GeneralCuckooMap {
   // Returns moves performed; the caller must version-bump on release if > 0.
   std::size_t PiggybackMigrateLocked(const PairView& v, std::uint8_t tag) {
     const std::uint64_t t0 = NowNanos();
-    std::size_t moved = 0;
-    for (std::size_t ob : {v.ob1, v.ob2}) {
-      if (v.ms->BucketMigrated(ob)) {
-        continue;
-      }
-      for (int s = 0; s < B; ++s) {
-        if (v.ms->old_core->Tag(ob, s) != tag) {
-          continue;
-        }
-        const HashedKey eh = HashedKey::From(hasher_(v.ms->old_core->Key(ob, s)));
-        if (TryMoveAcrossLocked(v.ms, ob, s, eh)) {
-          ++moved;
-        }
-      }
-      MaybeMarkDrainedLocked(v.ms, ob);
-    }
+    HashedKey blocked{};
+    const std::size_t moved = MoveAcrossLocked(v.ms, v.ob1, v.ob2, tag, &blocked);
     if (moved > 0) {
       stats_.RecordMigrationStall(NowNanos() - t0);
     }
@@ -1398,29 +1151,15 @@ class GeneralCuckooMap {
     }
     {
       AllGuard all(stripes_);
-      // Snapshot walks cannot tell these bulk moves apart from untouched
-      // buckets (no per-move displacement log entries when the live core
-      // must grow); bump the epoch so an in-flight walk retries.
+      // Snapshot walks cannot tell these bulk moves (nor the exclusive
+      // inserts' displacements) apart from untouched buckets, and none of
+      // them is logged; bump the epoch so an in-flight walk retries.
       force_finish_epoch_.fetch_add(1, std::memory_order_release);
+      while (!MoveItems(*ms->old_core, *core_, HashOf(hasher_), search_)) {
+        GrowLiveLocked();
+      }
       for (std::size_t b = 0; b < ms->old_bucket_count; ++b) {
-        for (int s = 0; s < B; ++s) {
-          if (ms->old_core->Tag(b, s) == 0) {
-            continue;
-          }
-          const HashedKey h = HashedKey::From(hasher_(ms->old_core->Key(b, s)));
-          if (snapshot_active_.load(std::memory_order_acquire)) {
-            LogDisplaced(*ms->old_core, b, s);
-          }
-          while (!ExclusiveInsert(*core_, h, std::move(ms->old_core->Key(b, s)),
-                                  std::move(ms->old_core->Value(b, s)))) {
-            GrowLiveLocked();
-          }
-          ms->old_core->DestroySlot(b, s);
-        }
-        if (ms->MarkMigrated(b)) {
-          ms->buckets_done.fetch_add(1, std::memory_order_relaxed);
-          stats_.RecordMigrationBucketDone();
-        }
+        MarkDrained(ms, b);
       }
     }
     stats_.RecordMigrationForceFinished();
@@ -1434,98 +1173,26 @@ class GeneralCuckooMap {
   // correct, because by the time the stripes release every element lives in
   // the published core.
   void GrowLiveLocked() REQUIRES(maintenance_mutex_) REQUIRES(stripes_) {
-    std::size_t new_log2 = CoreLog2(*core_) + 1;
-    for (;; ++new_log2) {
-      auto fresh = std::make_unique<Core>(new_log2, opts_.hugepages);
-      if (RehashInto(*core_, *fresh)) {
-        retired_.push_back(std::move(core_));
-        core_ = std::move(fresh);
-        stats_.SetHugepageBytes(core_->hugepage_bytes());
-        core_snapshot_.store(core_.get(), std::memory_order_release);
-        stats_.RecordExpansion();
-        return;
-      }
-      RecoverFrom(*core_, *fresh);
-    }
-  }
-
-  // Move every element of `from` into `to` using exclusive greedy inserts.
-  // On failure, elements already moved stay in `to` until RecoverFrom.
-  bool RehashInto(Core& from, Core& to) REQUIRES(stripes_) {
-    for (std::size_t b = 0; b < from.bucket_count(); ++b) {
-      for (int s = 0; s < B; ++s) {
-        if (from.Tag(b, s) == 0) {
-          continue;
-        }
-        const HashedKey h = HashedKey::From(hasher_(from.Key(b, s)));
-        if (!ExclusiveInsert(to, h, std::move(from.Key(b, s)), std::move(from.Value(b, s)))) {
-          return false;
-        }
-        from.DestroySlot(b, s);
-      }
-    }
-    return true;
-  }
-
-  // Undo a failed RehashInto: move elements parked in `to` back into `from`'s
-  // empty slots (there is always room — they came from there).
-  void RecoverFrom(Core& from, Core& to) REQUIRES(stripes_) {
-    for (std::size_t b = 0; b < to.bucket_count(); ++b) {
-      for (int s = 0; s < B; ++s) {
-        if (to.Tag(b, s) == 0) {
-          continue;
-        }
-        const HashedKey h = HashedKey::From(hasher_(to.Key(b, s)));
-        bool ok = ExclusiveInsert(from, h, std::move(to.Key(b, s)), std::move(to.Value(b, s)));
-        assert(ok && "recovery insert cannot fail: the slot was previously occupied");
-        (void)ok;
-        to.DestroySlot(b, s);
-      }
-    }
-  }
-
-  template <typename KArg, typename VArg>
-  bool ExclusiveInsert(Core& core, const HashedKey& h, KArg&& key, VArg&& value)
-      REQUIRES(stripes_) {
-    for (;;) {
-      const std::size_t b1 = h.Bucket1(core.mask);
-      const std::size_t b2 = core.AltBucket(b1, h.tag);
-      for (std::size_t b : {b1, b2}) {
-        int s = core.FindEmptySlot(b);
-        if (s >= 0) {
-          core.ConstructSlot(b, s, h.tag, std::forward<KArg>(key), std::forward<VArg>(value));
-          return true;
-        }
-      }
-      CuckooPath path;
-      if (!BfsSearch(core, b1, b2, opts_.max_search_slots, opts_.prefetch, &path)) {
-        return false;
-      }
-      const PathHop& hole = path.hops.front();
-      if (!ExecutePathExclusive(core, path) || core.Tag(hole.bucket, hole.slot) != 0) {
-        continue;  // self-overlapping path; table perturbed, search again
-      }
-      core.ConstructSlot(hole.bucket, hole.slot, h.tag, std::forward<KArg>(key),
-                         std::forward<VArg>(value));
-      return true;
-    }
+    PublishLocked(RehashInto(*core_, std::make_unique<Core>(CoreLog2(*core_) + 1, opts_.hugepages),
+                             HashOf(hasher_), search_, opts_.hugepages));
   }
 
   Options opts_;
   Hash hasher_;
   KeyEqual eq_;
+  SearchParams search_;
   mutable LockStripes stripes_;
   mutable Mutex maintenance_mutex_;
   // Owned core (replacement serialized by maintenance_mutex_) plus a lock-
   // free snapshot pointer operations resolve buckets against.
   std::unique_ptr<Core> core_ GUARDED_BY(maintenance_mutex_);
-  // Superseded cores, kept until destruction (see Expand).
+  // Superseded cores, kept until destruction (see PublishLocked). While a
+  // window is open, the last of them is the draining core.
   std::vector<std::unique_ptr<Core>> retired_ GUARDED_BY(maintenance_mutex_);
-  // Incremental-expansion window: while open, draining_core_ is the old
-  // (shrinking) table and migration_state_ tracks per-bucket drain progress.
-  // Like retired_ cores, completed states are kept mapped (a stale reader may
-  // still hold the pointer it loaded from migration_).
-  std::unique_ptr<Core> draining_core_ GUARDED_BY(maintenance_mutex_);
+  // Incremental-expansion window: migration_state_ tracks per-bucket drain
+  // progress of its old (retired, shrinking) core. Like retired_ cores,
+  // completed states are kept mapped (a stale reader may still hold the
+  // pointer it loaded from migration_).
   std::unique_ptr<MigrationState> migration_state_ GUARDED_BY(maintenance_mutex_);
   std::vector<std::unique_ptr<MigrationState>> retired_migrations_
       GUARDED_BY(maintenance_mutex_);
@@ -1540,7 +1207,7 @@ class GeneralCuckooMap {
   std::atomic<std::size_t> size_{0};
   mutable MapStats stats_;
   // Fuzzy-snapshot state (see TrySnapshotBuckets). Mutable: the walk is
-  // logically const, and ExecutePath (non-const) shares the displacement log.
+  // logically const, and the (non-const) movers share the displacement log.
   mutable Mutex snapshot_walk_mutex_;
   mutable Mutex displaced_mutex_;
   mutable std::vector<std::pair<K, V>> displaced_log_ GUARDED_BY(displaced_mutex_);

@@ -14,8 +14,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/cpu.h"
+#include "src/common/hash.h"
 #include "src/common/random.h"
 #include "src/cuckoo/simd_probe.h"
+#include "src/cuckoo/types.h"
 
 namespace cuckoo {
 
@@ -128,34 +131,6 @@ bool BfsSearch(const Core& core, std::size_t b1, std::size_t b2, std::size_t max
   return false;
 }
 
-// Validate-and-execute every displacement of `path` against `core`, for
-// callers that hold exclusive access to the whole table (expansion rehash,
-// LockedView inserts). No locking, but hop validation is still required: a
-// BFS path can revisit the same slot via a cycle in the cuckoo graph, in
-// which case an earlier executed hop invalidates a later one. Executed hops
-// are individually correct displacements, so on failure the caller simply
-// searches again over the (now perturbed) table.
-//
-// An empty path moves nothing and reports failure — the hop loop counts down
-// from hops.size() - 1, which would otherwise underflow to SIZE_MAX and walk
-// out of bounds.
-template <typename Core>
-bool ExecutePathExclusive(Core& core, const CuckooPath& path) {
-  if (path.hops.empty()) {
-    return false;
-  }
-  for (std::size_t i = path.hops.size() - 1; i-- > 0;) {
-    const PathHop& from = path.hops[i];
-    const PathHop& to = path.hops[i + 1];
-    if (from.tag == 0 || core.Tag(from.bucket, from.slot) != from.tag ||
-        core.Tag(to.bucket, to.slot) != 0) {
-      return false;
-    }
-    core.MoveSlot(from.bucket, from.slot, to.bucket, to.slot);
-  }
-  return true;
-}
-
 // MemC3's search: greedy random displacement, tracking two paths in parallel
 // (one rooted at each candidate bucket) and completing when either finds an
 // empty slot. Caps each path at `max_path_len` hops.
@@ -209,6 +184,30 @@ bool DfsSearch(const Core& core, std::size_t b1, std::size_t b2, int max_path_le
       return false;
     }
   }
+}
+
+// The path-search knobs every table shares (§4.3.2).
+struct SearchParams {
+  std::size_t max_slots = 2000;  // M: slots BFS may examine before "too full"
+  bool prefetch = true;          // BFS prefetches each frontier bucket's tags
+  SearchMode mode = SearchMode::kBfs;
+  int dfs_max_path_len = 250;  // per-walk hop cap of the DFS ablation (MemC3's)
+};
+
+// The DFS walk's victim choices, one generator per thread.
+inline Xorshift128Plus& SearchRng() {
+  thread_local Xorshift128Plus rng(Mix64(0xc0ffeeull + CurrentThreadId()));
+  return rng;
+}
+
+// Discover a path from b1/b2 to a free slot with the configured searcher.
+template <typename Core>
+bool SearchPath(const Core& core, std::size_t b1, std::size_t b2, const SearchParams& params,
+                CuckooPath* out) {
+  if (params.mode == SearchMode::kBfs) {
+    return BfsSearch(core, b1, b2, params.max_slots, params.prefetch, out);
+  }
+  return DfsSearch(core, b1, b2, params.dfs_max_path_len, SearchRng(), out);
 }
 
 }  // namespace cuckoo

@@ -42,51 +42,30 @@
 
 namespace cuckoo {
 
-template <typename K, typename V, int B>
-struct TableCore {
+// What every core shares, and all the engine (engine.h) needs to search and
+// probe it: the bucket mask and the dense tag array, B one-byte partial-key
+// tags per bucket, 0 marking an empty slot. TableCore below and GeneralCore
+// (general_cuckoo_map.h) add the key/value storage. The tag array is
+// cache-line aligned in a PageBlock (the kernel's zero pages ARE the
+// all-empty state); tags are plain bytes read and written through
+// std::atomic_ref, because the unlocked path search and optimistic readers
+// load them while writers store.
+template <int B>
+struct TagArray {
   static_assert(B > 0 && B <= 16, "set-associativity must be in [1, 16]");
-  static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>,
-                "optimistic cuckoo tables require trivially copyable key/value types; "
-                "wrap variable-length data in fixed arrays or indirection");
+  static_assert(std::atomic_ref<std::uint8_t>::required_alignment == 1);
 
   static constexpr int kSlotsPerBucket = B;
 
-  struct Bucket {
-    K keys[B];
-    V values[B];
-  };
-  // PageBlock hands back zero bytes without running constructors; both the
-  // tag array (where all-zero IS the all-empty state) and the bucket array
-  // (whose elements are only read after their tag goes non-zero, i.e. after
-  // WriteSlot stored a full object representation) rely on Bucket being an
-  // implicit-lifetime type. It is: an aggregate of trivially copyable
-  // members, so it has a trivial copy constructor and trivial destructor —
-  // the trivially_copyable assert above already pins that down (K and V may
-  // still have user-provided default constructors; those never run here).
-  static_assert(std::is_trivially_copyable_v<Bucket>);
-  static_assert(std::atomic_ref<std::uint8_t>::required_alignment == 1);
-
-  explicit TableCore(std::size_t bucket_count_log2, bool want_hugepages = false)
+  TagArray(std::size_t bucket_count_log2, bool want_hugepages)
       : mask((std::size_t{1} << bucket_count_log2) - 1),
         tag_block_((mask + 1) * B, want_hugepages),
-        bucket_block_((mask + 1) * sizeof(Bucket), want_hugepages),
-        tags(static_cast<std::uint8_t*>(tag_block_.data())),
-        buckets(static_cast<Bucket*>(bucket_block_.data())) {
+        tags(static_cast<std::uint8_t*>(tag_block_.data())) {
     assert(bucket_count_log2 < 57);
   }
 
   std::size_t bucket_count() const noexcept { return mask + 1; }
   std::size_t slot_count() const noexcept { return bucket_count() * B; }
-
-  // Heap bytes this core occupies (for the memory-efficiency comparison).
-  std::size_t HeapBytes() const noexcept {
-    return bucket_count() * sizeof(Bucket) + slot_count() * sizeof(std::uint8_t);
-  }
-
-  // Bytes granted MADV_HUGEPAGE backing (0 unless requested and honored).
-  std::size_t hugepage_bytes() const noexcept {
-    return tag_block_.hugepage_bytes() + bucket_block_.hugepage_bytes();
-  }
 
   std::uint8_t Tag(std::size_t bucket, int slot) const noexcept {
     return std::atomic_ref<std::uint8_t>(tags[bucket * B + static_cast<std::size_t>(slot)])
@@ -127,6 +106,75 @@ struct TableCore {
     return simd::FirstSlot(simd::EmptySlotMask<B>(LoadTagsVector(bucket)));
   }
 
+  // Alternate bucket of a slot, derived from the tag alone (partial-key
+  // cuckoo hashing, as in MemC3): involutive, so displaced items can always
+  // be bounced back.
+  std::size_t AltBucket(std::size_t bucket, std::uint8_t tag) const noexcept {
+    return (bucket ^ (static_cast<std::size_t>(Mix64(tag)) | 1u)) & mask;
+  }
+
+  void PrefetchTags(std::size_t bucket) const noexcept { PrefetchRead(&tags[bucket * B]); }
+
+  std::size_t mask;
+  PageBlock tag_block_;
+  std::uint8_t* tags;
+};
+
+// Empty every slot of a core (destroy + tag = 0); the caller excludes every
+// writer.
+template <typename Core>
+void DestroyAll(Core& core) noexcept {
+  for (std::size_t b = 0; b < core.bucket_count(); ++b) {
+    for (int s = 0; s < Core::kSlotsPerBucket; ++s) {
+      if (core.Tag(b, s) != 0) {
+        core.DestroySlot(b, s);
+      }
+    }
+  }
+}
+
+template <typename K, typename V, int B>
+struct TableCore : TagArray<B> {
+  static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>,
+                "optimistic cuckoo tables require trivially copyable key/value types; "
+                "wrap variable-length data in fixed arrays or indirection");
+
+  using TagArray<B>::bucket_count;
+  using TagArray<B>::slot_count;
+  using TagArray<B>::Tag;
+  using TagArray<B>::SetTag;
+  using TagArray<B>::AltBucket;
+  using TagArray<B>::mask;
+
+  struct Bucket {
+    K keys[B];
+    V values[B];
+  };
+  // PageBlock hands back zero bytes without running constructors; both the
+  // tag array (where all-zero IS the all-empty state) and the bucket array
+  // (whose elements are only read after their tag goes non-zero, i.e. after
+  // WriteSlot stored a full object representation) rely on Bucket being an
+  // implicit-lifetime type. It is: an aggregate of trivially copyable
+  // members, so it has a trivial copy constructor and trivial destructor —
+  // the trivially_copyable assert above already pins that down (K and V may
+  // still have user-provided default constructors; those never run here).
+  static_assert(std::is_trivially_copyable_v<Bucket>);
+
+  explicit TableCore(std::size_t bucket_count_log2, bool want_hugepages = false)
+      : TagArray<B>(bucket_count_log2, want_hugepages),
+        bucket_block_((mask + 1) * sizeof(Bucket), want_hugepages),
+        buckets(static_cast<Bucket*>(bucket_block_.data())) {}
+
+  // Heap bytes this core occupies (for the memory-efficiency comparison).
+  std::size_t HeapBytes() const noexcept {
+    return bucket_count() * sizeof(Bucket) + slot_count() * sizeof(std::uint8_t);
+  }
+
+  // Bytes granted MADV_HUGEPAGE backing (0 unless requested and honored).
+  std::size_t hugepage_bytes() const noexcept {
+    return this->tag_block_.hugepage_bytes() + bucket_block_.hugepage_bytes();
+  }
+
   // Direct (exclusive or validated-optimistic) accessors.
   const K& KeyRef(std::size_t bucket, int slot) const noexcept {
     return buckets[bucket].keys[slot];
@@ -139,6 +187,11 @@ struct TableCore {
   V& MutableValueRef(std::size_t bucket, int slot) noexcept {
     return buckets[bucket].values[slot];
   }
+  // The engine's slot vocabulary (engine.h), shared with GeneralCore. Key and
+  // Value are the exclusive accessors above under their shared names.
+  const K& Key(std::size_t bucket, int slot) const noexcept { return KeyRef(bucket, slot); }
+  const V& Value(std::size_t bucket, int slot) const noexcept { return ValueRef(bucket, slot); }
+  V& Value(std::size_t bucket, int slot) noexcept { return MutableValueRef(bucket, slot); }
 
   // Tear-tolerant loads for the optimistic read path: the bytes read may be
   // concurrently overwritten; callers must validate a version counter before
@@ -161,11 +214,18 @@ struct TableCore {
     SetTag(bucket, slot, tag);
   }
 
+  void ConstructSlot(std::size_t bucket, int slot, std::uint8_t tag, const K& key,
+                     const V& value) noexcept {
+    WriteSlot(bucket, slot, tag, key, value);
+  }
+
   void WriteValue(std::size_t bucket, int slot, const V& value) noexcept {
     RelaxedStore(buckets[bucket].values[slot], value);
   }
 
-  void ClearSlot(std::size_t bucket, int slot) noexcept { SetTag(bucket, slot, 0); }
+  // Empty a slot. Trivially copyable items need no destruction: clearing the
+  // tag is enough.
+  void DestroySlot(std::size_t bucket, int slot) noexcept { SetTag(bucket, slot, 0); }
 
   // Move the item in (from, from_slot) into (to, to_slot): the "move holes
   // backwards" displacement. Destination is written before the source tag is
@@ -174,24 +234,7 @@ struct TableCore {
     RelaxedStore(buckets[to].keys[to_slot], buckets[from].keys[from_slot]);
     RelaxedStore(buckets[to].values[to_slot], buckets[from].values[from_slot]);
     SetTag(to, to_slot, Tag(from, from_slot));
-    ClearSlot(from, from_slot);
-  }
-
-  // Alternate bucket of a slot, derived from the tag alone (partial-key
-  // cuckoo hashing, as in MemC3): involutive, so displaced items can always
-  // be bounced back.
-  std::size_t AltBucket(std::size_t bucket, std::uint8_t tag) const noexcept {
-    return (bucket ^ (static_cast<std::size_t>(Mix64(tag)) | 1u)) & mask;
-  }
-
-  std::size_t CountOccupied() const noexcept {
-    std::size_t n = 0;
-    for (std::size_t bkt = 0; bkt <= mask; ++bkt) {
-      for (int s = 0; s < B; ++s) {
-        n += Tag(bkt, s) != 0 ? 1 : 0;
-      }
-    }
-    return n;
+    DestroySlot(from, from_slot);
   }
 
   // Structural invariant check, callable from tests. The caller must hold
@@ -223,9 +266,6 @@ struct TableCore {
     }
   }
 
-  void PrefetchTags(std::size_t bucket) const noexcept {
-    PrefetchRead(&tags[bucket * B]);
-  }
   // Pull both halves of the bucket: the key line and (when the values start
   // on a later line, as with the two-line §6 layout) the first value line.
   void PrefetchBucket(std::size_t bucket) const noexcept {
@@ -235,18 +275,15 @@ struct TableCore {
     }
   }
   // Targeted prefetch for one movemask candidate: the key and value lines of
-  // a specific slot, instead of the whole bucket. The batch pipelines call
+  // a specific slot, instead of the whole bucket. The batch pipeline calls
   // this only for slots whose tag already matched, so cold-miss bandwidth is
   // spent on lines the probe will actually read.
-  void PrefetchCandidate(std::size_t bucket, int slot) const noexcept {
-    PrefetchRead(&buckets[bucket].keys[slot]);
-    PrefetchRead(&buckets[bucket].values[slot]);
+  void PrefetchSlot(std::size_t bucket, int slot) const noexcept {
+    PrefetchRead(&KeyRef(bucket, slot));
+    PrefetchRead(&ValueRef(bucket, slot));
   }
 
-  std::size_t mask;
-  PageBlock tag_block_;
   PageBlock bucket_block_;
-  std::uint8_t* tags;
   Bucket* buckets;
 };
 

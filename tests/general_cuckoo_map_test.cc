@@ -442,14 +442,14 @@ TEST(GeneralCuckooMapTest, MigrationGaugesReportCompletedDrain) {
 TEST(GeneralCuckooMapTest, StopTheWorldFallbackWhenIncrementalDisabled) {
   StringMap::Options o;
   o.initial_bucket_count_log2 = 4;
-  o.incremental_expand = false;
+  o.stripe_count = 2048;  // more stripes than the 1024 buckets the table grows to
   StringMap map(o);
   for (int i = 0; i < 3000; ++i) {
     ASSERT_EQ(map.Insert("k" + std::to_string(i), std::to_string(i)), InsertResult::kOk);
   }
   const MapStatsSnapshot stats = map.Stats();
   EXPECT_GT(stats.expansions, 0);
-  EXPECT_EQ(stats.migrations_started, 0) << "flag off must force stop-the-world";
+  EXPECT_EQ(stats.migrations_started, 0) << "misaligned stripes must force stop-the-world";
   for (int i = 0; i < 3000; ++i) {
     std::string v;
     ASSERT_TRUE(map.Find("k" + std::to_string(i), &v)) << i;

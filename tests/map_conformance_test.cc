@@ -20,6 +20,7 @@
 #include "src/baselines/global_lock_map.h"
 #include "src/common/random.h"
 #include "src/common/spinlock.h"
+#include "src/cuckoo/clock_cache.h"
 #include "src/cuckoo/cuckoo_map.h"
 #include "src/cuckoo/flat_cuckoo_map.h"
 #include "src/cuckoo/general_cuckoo_map.h"
@@ -460,10 +461,57 @@ TEST(MapFuzzExpansionTest, GeneralMapStopTheWorldExpansionMatchesOracle) {
   auto make = [] {
     GeneralCuckooMap<K, V>::Options o;
     o.initial_bucket_count_log2 = 4;
-    o.incremental_expand = false;  // pin the stop-the-world path
+    // More stripes than the table has buckets when it last grows (the key
+    // space fits 8192 buckets, so the last expansion starts from 4096):
+    // every expansion is misaligned, which pins the stop-the-world path.
+    o.stripe_count = 8192;
     return std::make_unique<GeneralCuckooMap<K, V>>(o);
   };
   RunFuzzWith<GeneralCuckooMap<K, V>>(FuzzSeed(0xe49a4dff), 30000, kExpandKeySpace, make);
+
+  // The same configuration filled with the whole key space grows only
+  // stop-the-world.
+  auto map = make();
+  for (K k = 0; k < kExpandKeySpace; ++k) {
+    ASSERT_EQ(map->Insert(k, k), InsertResult::kOk);
+  }
+  EXPECT_GT(map->Stats().expansions, 0);
+  EXPECT_EQ(map->Stats().migrations_started, 0);
+}
+
+// ---------------------------------------------------------------------------
+// One HeapBytes() rule for both growable maps: every core the map still holds
+// mapped counts — the live core and each retired one (for GeneralCuckooMap,
+// the draining core of an open window among them).
+// ---------------------------------------------------------------------------
+
+template <typename MapT>
+void ExpectHeapBytesCountRetiredCores(std::size_t live_buckets) {
+  using Core = typename MapT::Core;
+  typename MapT::Options o;
+  o.initial_bucket_count_log2 = 4;
+  MapT map(o);
+  for (K k = 0; map.SlotCount() < live_buckets * MapT::kSlotsPerBucket; ++k) {
+    ASSERT_EQ(map.Insert(k, k), InsertResult::kOk);
+  }
+  const std::size_t live_log2 = 4 + static_cast<std::size_t>(map.Stats().expansions);
+  ASSERT_EQ(map.SlotCount(), (std::size_t{1} << live_log2) * MapT::kSlotsPerBucket)
+      << "every expansion must have doubled the table exactly once";
+  std::size_t cores = Core(live_log2).HeapBytes();
+  for (std::size_t log2 = 4; log2 < live_log2; ++log2) {
+    cores += Core(log2).HeapBytes();
+  }
+  EXPECT_GE(map.HeapBytes(), cores);
+}
+
+TEST(HeapBytesTest, CuckooMapCountsLiveAndRetiredCores) {
+  ExpectHeapBytesCountRetiredCores<CuckooMap<K, V>>(1024);
+}
+
+TEST(HeapBytesTest, GeneralMapCountsLiveAndRetiredCores) {
+  // Grows past the default stripe count, so the last doublings run through
+  // incremental migration windows.
+  ExpectHeapBytesCountRetiredCores<GeneralCuckooMap<K, V>>(8192);
 }
 
 // ---------------------------------------------------------------------------
@@ -511,6 +559,60 @@ TEST_P(MapFuzzProbeLevelTest, ExpansionPhasesMatchOracle) {
     return std::make_unique<CuckooMap<K, V>>(o);
   };
   RunFuzzWith<CuckooMap<K, V>>(FuzzSeed(0x51bd1000), 20000, kExpandKeySpace, make);
+}
+
+// ClockCache runs the same SIMD probe kernels through the engine. It evicts,
+// so the oracle is weaker than the maps': a Get returns either nothing or the
+// last value Set for the key, a deleted key reads absent until it is Set
+// again, and at quiescence Bytes() is the sum of the live entries' charges.
+TEST_P(MapFuzzProbeLevelTest, ClockCacheSetGetDeleteMatchesOracle) {
+  ClockCache<K, V>::Options o;
+  o.bucket_count_log2 = 4;   // 128 slots for 512 keys: constant CLOCK eviction
+  o.capacity_bytes = 4000;   // charges of 1..64: byte evictions too
+  ClockCache<K, V> cache(o);
+  struct Entry {
+    bool live = false;  // Set since the last Delete (eviction may still drop it)
+    V value = 0;
+    std::size_t charge = 0;
+  };
+  constexpr std::uint64_t kKeys = 512;
+  std::vector<Entry> oracle(kKeys);
+  Xorshift128Plus rng(Mix64(FuzzSeed(0x51bd2000)));
+  for (int i = 0; i < 20000; ++i) {
+    const K key = rng.NextBelow(kKeys);
+    Entry& e = oracle[key];
+    const std::uint64_t roll = rng.NextBelow(10);
+    if (roll < 4) {
+      const V value = rng.Next();
+      const std::size_t charge = 1 + rng.NextBelow(64);
+      ASSERT_TRUE(cache.Set(key, value, charge)) << "op " << i;
+      e = Entry{true, value, charge};
+    } else if (roll < 5) {
+      const bool erased = cache.Delete(key);
+      ASSERT_TRUE(e.live || !erased) << "op " << i << ": deleted a key never set";
+      e.live = false;
+    } else {
+      V v = 0;
+      if (cache.Get(key, &v)) {
+        ASSERT_TRUE(e.live) << "op " << i << ": deleted key " << key << " read back";
+        ASSERT_EQ(v, e.value) << "op " << i << ": stale value for key " << key;
+      }
+    }
+  }
+  std::uint64_t live_bytes = 0;
+  std::size_t live_entries = 0;
+  for (K key = 0; key < kKeys; ++key) {
+    V v = 0;
+    if (cache.Get(key, &v)) {
+      ASSERT_TRUE(oracle[key].live) << key;
+      ASSERT_EQ(v, oracle[key].value) << key;
+      live_bytes += oracle[key].charge;
+      ++live_entries;
+    }
+  }
+  EXPECT_EQ(cache.Bytes(), live_bytes);
+  EXPECT_EQ(cache.Size(), live_entries);
+  EXPECT_LE(cache.Bytes(), o.capacity_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, MapFuzzProbeLevelTest,

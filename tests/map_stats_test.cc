@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cuckoo/cuckoo_map.h"
+#include "src/cuckoo/flat_cuckoo_map.h"
+#include "src/cuckoo/general_cuckoo_map.h"
 #include "src/cuckoo/stats.h"
 
 namespace cuckoo {
@@ -152,6 +155,53 @@ TEST(MapStatsTest, ResetZeroesCountersAndHistograms) {
   EXPECT_EQ(s.lookup_hits, 0);
   EXPECT_EQ(s.path_length_hist[2], 0);
   EXPECT_EQ(s.batch_hits.Count(), 0u);
+}
+
+// One definition of the path-length histogram for every table: the engine
+// records the displacements of each successful insert exactly once, 0 when
+// the item went straight into a free slot — never once per executed path,
+// and never for a migrator's paths.
+template <typename MapT>
+void ExpectOneHistogramEntryPerInsert(MapT& map, std::uint64_t keys) {
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    ASSERT_EQ(map.Insert(k, k), InsertResult::kOk) << k;
+  }
+  const MapStatsSnapshot s = map.Stats();
+  std::int64_t entries = 0;
+  for (std::int64_t n : s.path_length_hist) {
+    entries += n;
+  }
+  EXPECT_EQ(entries, s.inserts);
+  EXPECT_EQ(s.inserts, static_cast<std::int64_t>(keys));
+  EXPECT_GT(s.path_length_hist[0], 0) << "most inserts land without displacement";
+  EXPECT_GT(s.MaxPathLength(), 0) << "the fill never displaced anything";
+}
+
+TEST(MapStatsTest, PathLengthHistogramCountsEachInsertOnceCuckooMap) {
+  CuckooMap<std::uint64_t, std::uint64_t>::Options o;
+  o.initial_bucket_count_log2 = 4;
+  CuckooMap<std::uint64_t, std::uint64_t> map(o);
+  ExpectOneHistogramEntryPerInsert(map, 20000);
+}
+
+TEST(MapStatsTest, PathLengthHistogramCountsEachInsertOnceGeneralMap) {
+  // 8-way from 16 buckets: stop-the-world growth while the table has fewer
+  // buckets than stripes, then incremental windows whose migrator runs its
+  // own path searches.
+  using Map = GeneralCuckooMap<std::uint64_t, std::uint64_t, DefaultHash<std::uint64_t>,
+                               std::equal_to<std::uint64_t>, 8>;
+  Map::Options o;
+  o.initial_bucket_count_log2 = 4;
+  Map map(o);
+  ExpectOneHistogramEntryPerInsert(map, 20000);
+  EXPECT_GT(map.Stats().migrations_started, 0);
+}
+
+TEST(MapStatsTest, PathLengthHistogramCountsEachInsertOnceFlatMap) {
+  FlatOptions o;
+  o.bucket_count_log2 = 12;  // 16384 slots, filled to 85%
+  FlatCuckooMap<std::uint64_t, std::uint64_t> map(o);
+  ExpectOneHistogramEntryPerInsert(map, 14000);
 }
 
 }  // namespace

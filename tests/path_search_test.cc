@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "src/common/random.h"
+#include "src/cuckoo/engine.h"
 #include "src/cuckoo/table_core.h"
 
 #include <gtest/gtest.h>
@@ -58,7 +59,7 @@ TEST(BfsSearchTest, PathHopsAreChainedThroughAltBuckets) {
   std::size_t b = 5;
   std::size_t next = core.AltBucket(b, core.Tag(b, 0));
   std::size_t nextnext = core.AltBucket(next, core.Tag(next, 0));
-  core.ClearSlot(nextnext, 2);
+  core.DestroySlot(nextnext, 2);
 
   CuckooPath path;
   std::size_t other = core.AltBucket(5, 0x55) == nextnext ? 1 : core.AltBucket(5, 0x55);
@@ -81,7 +82,7 @@ TEST(BfsSearchTest, FailsWhenBudgetExhausted) {
   Core core(6);
   FillAll(core, 1);
   // Single hole, tiny budget that cannot reach it.
-  core.ClearSlot(0, 0);
+  core.DestroySlot(0, 0);
   CuckooPath path;
   // Roots chosen far from bucket 0 in the tag-1 displacement graph.
   EXPECT_FALSE(BfsSearch(core, 33, 47, 8, false, &path));
@@ -128,7 +129,7 @@ TEST(ExecutePathExclusiveTest, EmptyPathFailsWithoutTouchingTable) {
   // used to underflow to SIZE_MAX and walk out of bounds.
   Core core(4);
   CuckooPath empty;
-  EXPECT_FALSE(ExecutePathExclusive(core, empty));
+  EXPECT_FALSE(ExecutePath(core, empty));
   for (std::size_t b = 0; b < core.bucket_count(); ++b) {
     for (int s = 0; s < 4; ++s) {
       EXPECT_EQ(core.Tag(b, s), 0);
@@ -141,7 +142,7 @@ TEST(ExecutePathExclusiveTest, SingleHopPathIsANoOpSuccess) {
   Core core(4);
   CuckooPath path;
   path.hops.push_back(PathHop{2, 1, 0});
-  EXPECT_TRUE(ExecutePathExclusive(core, path));
+  EXPECT_TRUE(ExecutePath(core, path));
   EXPECT_EQ(core.Tag(2, 1), 0);
 }
 
@@ -155,7 +156,7 @@ TEST(ExecutePathExclusiveTest, ExecutesValidatedDisplacements) {
   CuckooPath path;
   path.hops.push_back(PathHop{3, 0, tag});
   path.hops.push_back(PathHop{alt, 1, 0});
-  ASSERT_TRUE(ExecutePathExclusive(core, path));
+  ASSERT_TRUE(ExecutePath(core, path));
   EXPECT_EQ(core.Tag(3, 0), 0);
   EXPECT_EQ(core.Tag(alt, 1), tag);
   EXPECT_EQ(core.KeyRef(alt, 1), 42u);
@@ -167,7 +168,7 @@ TEST(ExecutePathExclusiveTest, FailsWhenHopValidationFails) {
   // Source slot is empty (tag mismatch): validation must fail, not move.
   path.hops.push_back(PathHop{3, 0, 7});
   path.hops.push_back(PathHop{5, 1, 0});
-  EXPECT_FALSE(ExecutePathExclusive(core, path));
+  EXPECT_FALSE(ExecutePath(core, path));
   EXPECT_EQ(core.Tag(5, 1), 0);
 }
 
@@ -184,7 +185,7 @@ TEST(DfsSearchTest, PathChainsThroughAltBuckets) {
   FillAll(core, 3);
   std::size_t b = 2;
   std::size_t hole_bucket = core.AltBucket(b, 3);
-  core.ClearSlot(hole_bucket, 1);
+  core.DestroySlot(hole_bucket, 1);
   Xorshift128Plus rng(3);
   CuckooPath path;
   ASSERT_TRUE(DfsSearch(core, 2, 2 ^ 1, 250, rng, &path));
@@ -207,7 +208,7 @@ TEST(DfsSearchTest, TreatsConcurrentlyEmptiedSlotAsHole) {
   // A slot whose tag reads 0 mid-walk is taken as the hole (models racing
   // with an erase). Clear a slot in the root's alternate.
   std::size_t alt = core.AltBucket(6, 1);
-  core.ClearSlot(alt, 3);
+  core.DestroySlot(alt, 3);
   Xorshift128Plus rng(5);
   CuckooPath path;
   ASSERT_TRUE(DfsSearch(core, 6, alt, 250, rng, &path));

@@ -341,7 +341,7 @@ TEST(RaceInjectionTest, GeneralMapStopTheWorldExpansionAllocatesCoreOutsidePause
   using Map = GeneralCuckooMap<std::uint64_t, std::uint64_t>;
   Map::Options opts;
   opts.initial_bucket_count_log2 = 4;
-  opts.incremental_expand = false;
+  opts.stripe_count = 64;  // more stripes than buckets: growth stays stop-the-world
   Map map(opts);
   ASSERT_EQ(map.Insert(42, 4242), InsertResult::kOk);
 
@@ -361,6 +361,7 @@ TEST(RaceInjectionTest, GeneralMapStopTheWorldExpansionAllocatesCoreOutsidePause
   ASSERT_EQ(fired.load(), 1);
   const auto stats = map.Stats();
   EXPECT_GT(stats.expansions, 0);
+  EXPECT_EQ(stats.migrations_started, 0);
   EXPECT_EQ(stats.expansion_pause_ns.Count(),
             static_cast<std::uint64_t>(stats.expansions));
 }

@@ -46,7 +46,7 @@ TEST(TableCoreTest, WriteValueOnly) {
 TEST(TableCoreTest, ClearSlotEmptiesIt) {
   Core8 core(4);
   core.WriteSlot(1, 1, 5, 1, 2);
-  core.ClearSlot(1, 1);
+  core.DestroySlot(1, 1);
   EXPECT_FALSE(core.SlotOccupied(1, 1));
   EXPECT_EQ(core.FindEmptySlot(1), 0);
 }
@@ -57,9 +57,9 @@ TEST(TableCoreTest, FindEmptySlotScansInOrder) {
     core.WriteSlot(2, s, 1, s, s);
   }
   EXPECT_EQ(core.FindEmptySlot(2), -1);
-  core.ClearSlot(2, 5);
+  core.DestroySlot(2, 5);
   EXPECT_EQ(core.FindEmptySlot(2), 5);
-  core.ClearSlot(2, 1);
+  core.DestroySlot(2, 1);
   EXPECT_EQ(core.FindEmptySlot(2), 1);
 }
 
