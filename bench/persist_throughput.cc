@@ -3,11 +3,13 @@
 // Two experiments, both over a real unix socket with synchronous
 // (request/response) writers so every set waits for its durability ack:
 //
-//   1. fsync policy sweep — 8 concurrent writers against fsync_policy =
-//      none / everysec / always. Reports sets/s plus the WAL's fsync and
-//      group-commit counters; under `always` the interesting number is
-//      acks_per_fsync: with >= 8 clients blocked on the log, one fsync
-//      should cover many acks (group commit), not one.
+//   1. fsync policy sweep — 8 concurrent writers over 2 event threads
+//      against fsync_policy = none / everysec / always. Reports sets/s plus
+//      the WAL's fsync and group-commit counters; under `always` the
+//      interesting number is acks_per_fsync: with 8 clients waiting on the
+//      log, one fsync should cover many acks (group commit), not one. The
+//      event loops never block on an ack, so the depth follows the clients,
+//      not the 2 loops.
 //
 //   2. online snapshot impact — same writer fleet under everysec, measured
 //      once undisturbed (baseline) and once while the snapshot worker is
@@ -67,6 +69,10 @@ struct OnlineResult {
   std::uint64_t snapshot_entries = 0;
 };
 
+// Fewer loops than clients on purpose: a loop waiting on an ack would cap
+// group-commit depth at this number.
+constexpr int kEventThreads = 2;
+
 std::string MakeTempDir() {
   std::string tmpl = "/tmp/cuckoo_persist_bench_XXXXXX";
   char* made = ::mkdtemp(tmpl.data());
@@ -88,7 +94,7 @@ struct Harness {
   cuckoo::SocketServer::Options server_options;
   std::unique_ptr<cuckoo::SocketServer> server;
 
-  bool Start(FsyncPolicy policy, const std::string& sock_path, int event_threads) {
+  bool Start(FsyncPolicy policy, const std::string& sock_path) {
     wal_dir = MakeTempDir();
     if (wal_dir.empty()) {
       return false;
@@ -103,9 +109,7 @@ struct Harness {
     }
     server_options.unix_path = sock_path;
     server_options.enable_tcp = false;
-    // Group-commit depth is bounded by how many requests can block in
-    // WaitDurable at once, i.e. by event threads — give each client one.
-    server_options.event_threads = event_threads;
+    server_options.event_threads = kEventThreads;
     server = std::make_unique<cuckoo::SocketServer>(&service, server_options);
     return server->Start();
   }
@@ -176,7 +180,7 @@ int main(int argc, char** argv) {
   for (FsyncPolicy policy : policies) {
     const std::string sock = "/tmp/cuckoo_persist_bench.sock";
     Harness harness;
-    if (!harness.Start(policy, sock, clients)) {
+    if (!harness.Start(policy, sock)) {
       std::fprintf(stderr, "cannot start harness\n");
       return 1;
     }
@@ -206,7 +210,7 @@ int main(int argc, char** argv) {
   {
     const std::string sock = "/tmp/cuckoo_persist_bench.sock";
     Harness harness;
-    if (!harness.Start(FsyncPolicy::kEverySec, sock, clients)) {
+    if (!harness.Start(FsyncPolicy::kEverySec, sock)) {
       std::fprintf(stderr, "cannot start harness\n");
       return 1;
     }
@@ -313,7 +317,8 @@ int main(int argc, char** argv) {
 
   // Sanity gates (always-on; they encode the acceptance criteria).
   const SweepResult& always = sweep.back();
-  if (always.fsyncs == 0 || always.acks_per_fsync < 1.5) {
+  // Above 2: two loops that blocked on their acks could never batch more.
+  if (always.fsyncs == 0 || always.acks_per_fsync < 3.0) {
     std::fprintf(stderr, "FAIL: no group commit under fsync=always (%.2f acks/fsync)\n",
                  always.acks_per_fsync);
     return 1;

@@ -67,6 +67,86 @@ TEST(CrashRecoveryTest, Kill9MidLoadLosesNoAckedWriteUnderFsyncAlways) {
   }
 }
 
+// Pipelined writers under fsync=always: each connection keeps 64 sets in
+// flight, so acks are released by group-commit notifications, not by one
+// blocked event loop per write. Every STORED a client read must survive.
+TEST(CrashRecoveryTest, Kill9MidPipelineLosesNoAckedWriteUnderFsyncAlways) {
+  TempDir dir;
+  const std::string sock = dir.path + "/srv.sock";
+  const std::string wal_dir = dir.path + "/wal";
+  constexpr int kConns = 4;
+  constexpr int kDepth = 64;
+  auto key = [](int conn, int i) {
+    std::string k = "p";
+    k += std::to_string(conn);
+    k += '-';
+    k += std::to_string(i);
+    return k;
+  };
+
+  std::atomic<int> acked[kConns];
+  std::atomic<int> total_acked{0};
+  std::atomic<bool> bad_reply{false};
+  {
+    ServerProcess server(wal_dir, sock, "always");
+    std::vector<std::thread> loaders;
+    for (int c = 0; c < kConns; ++c) {
+      acked[c].store(0);
+      loaders.emplace_back([&, c] {
+        Client client(sock);
+        std::string replies;
+        for (int next = 0; next < 1000000; next += kDepth) {
+          std::string batch;
+          for (int i = next; i < next + kDepth; ++i) {
+            batch += "set " + key(c, i) + " 0 0 " + std::to_string(ValueFor(i).size()) +
+                     "\r\n" + ValueFor(i) + "\r\n";
+          }
+          if (!client.Send(batch)) {
+            return;
+          }
+          // Replies arrive in request order: each STORED acks the next key.
+          for (int got = 0; got < kDepth;) {
+            const std::size_t eol = replies.find("\r\n");
+            if (eol == std::string::npos) {
+              if (client.Read(&replies) <= 0) {
+                return;  // the server died: the rest of the batch is unacked
+              }
+              continue;
+            }
+            if (replies.compare(0, eol + 2, "STORED\r\n") != 0) {
+              bad_reply.store(true);
+              return;
+            }
+            replies.erase(0, eol + 2);
+            acked[c].store(next + ++got, std::memory_order_release);
+            total_acked.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    while (total_acked.load(std::memory_order_relaxed) < 4000 && !bad_reply.load()) {
+      std::this_thread::yield();  // let every connection get a real prefix acked
+    }
+    server.Kill9();
+    for (std::thread& t : loaders) {
+      t.join();
+    }
+  }
+  ASSERT_FALSE(bad_reply.load());
+  ASSERT_GE(total_acked.load(), 4000);
+
+  ServerProcess server(wal_dir, sock, "always");
+  Client client(sock);
+  for (int c = 0; c < kConns; ++c) {
+    const int n = acked[c].load(std::memory_order_acquire);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(client.Get(key(c, i)), ValueFor(i))
+          << "acked " << key(c, i) << " lost after kill -9 (" << n << " acked on conn " << c
+          << ")";
+    }
+  }
+}
+
 TEST(CrashRecoveryTest, Kill9AfterBgsaveRecoversFromSnapshotPlusWal) {
   TempDir dir;
   const std::string sock = dir.path + "/srv.sock";

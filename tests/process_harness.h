@@ -68,6 +68,20 @@ class ServerProcess {
               const std::vector<std::string>& extra_args) {
     sock_path_ = sock_path;
     ::unlink(sock_path.c_str());
+    // Build argv before fork(): the child of a multi-threaded parent may
+    // only make async-signal-safe calls, and an allocation there can block
+    // forever on an allocator lock another parent thread held at the fork.
+    std::vector<std::string> args = {KV_SERVER_BINARY, "--wal-dir=" + wal_dir,
+                                     "--fsync-policy=" + fsync_policy, "--unix=" + sock_path,
+                                     "--event-threads=2"};
+    for (const std::string& a : extra_args) {
+      args.push_back(a);
+    }
+    std::vector<char*> argv;
+    for (std::string& a : args) {
+      argv.push_back(a.data());
+    }
+    argv.push_back(nullptr);
     int out_pipe[2];
     ASSERT_EQ(::pipe(out_pipe), 0);
     pid_ = ::fork();
@@ -76,17 +90,6 @@ class ServerProcess {
       ::dup2(out_pipe[1], STDOUT_FILENO);
       ::close(out_pipe[0]);
       ::close(out_pipe[1]);
-      std::vector<std::string> args = {KV_SERVER_BINARY, "--wal-dir=" + wal_dir,
-                                       "--fsync-policy=" + fsync_policy,
-                                       "--unix=" + sock_path, "--event-threads=2"};
-      for (const std::string& a : extra_args) {
-        args.push_back(a);
-      }
-      std::vector<char*> argv;
-      for (std::string& a : args) {
-        argv.push_back(a.data());
-      }
-      argv.push_back(nullptr);
       ::execv(KV_SERVER_BINARY, argv.data());
       ::_exit(127);
     }
@@ -211,6 +214,18 @@ class Client {
     return response;
   }
 
+  // Raw pipelining: send bytes without reading, then read what arrived.
+  bool Send(const std::string& bytes) { return WriteAll(bytes); }
+  // One blocking read appended to *buffer; returns bytes read (0 = EOF).
+  long Read(std::string* buffer) {
+    char buf[4096];
+    const ssize_t n = ::read(fd_, buf, sizeof(buf));
+    if (n > 0) {
+      buffer->append(buf, static_cast<std::size_t>(n));
+    }
+    return static_cast<long>(n);
+  }
+
   bool Set(const std::string& key, const std::string& value) {
     return Roundtrip("set " + key + " 0 0 " + std::to_string(value.size()) + "\r\n" +
                          value + "\r\n",
@@ -255,7 +270,8 @@ class Client {
   bool WriteAll(const std::string& bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+      // MSG_NOSIGNAL: a write racing a kill -9 must fail, not SIGPIPE the test.
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
       if (n <= 0) {
         return false;
       }

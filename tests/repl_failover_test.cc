@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/file_util.h"
+#include "src/persist/wal.h"
 #include "tests/process_harness.h"
 
 namespace cuckoo {
@@ -379,7 +380,7 @@ TEST(ReplFailoverTest, ReplicaBootstrapsViaFullSyncAfterWalGc) {
   for (int spin = 0; spin < 1000 && !gc_done; ++spin) {
     gc_done = true;
     for (const std::string& name : ListFilesWithPrefix(pwal, "wal-")) {
-      gc_done &= name != "wal-1.log";
+      gc_done &= name != persist::internal::SegmentName(1);
     }
     if (!gc_done) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
