@@ -29,7 +29,7 @@ namespace repl {
 //   kNone     — replicas stream without acking; client acks never wait.
 //   kAsync    — replicas ack (lag is tracked) but client acks never wait.
 //   kSemiSync — a client ack additionally waits for one replica ack (or the
-//               timeout / degraded rule; see ReplicationHub::WaitReplicated).
+//               timeout / degraded rule; see ReplicationHub::NotifyReplicated).
 enum class AckLevel : std::uint8_t { kNone, kAsync, kSemiSync };
 
 // "none" / "async" / "semi-sync".
