@@ -78,7 +78,7 @@ std::string Drive(cuckoo::KvService* service, const std::string& input) {
   return out;
 }
 
-// "STAT <name> <value>\r\n" lines (hub/replica stats hooks); -1 if absent.
+// "STAT <name> <value>\r\n" lines of a `stats` reply; -1 if absent.
 long long StatValue(const std::string& stats, const std::string& name) {
   const std::string needle = "STAT " + name + " ";
   const std::size_t pos = stats.find(needle);
@@ -111,6 +111,7 @@ struct PrimaryHarness {
     h.semi_sync_timeout_ms = 5000;
     h.heartbeat_ms = 100;
     hub = std::make_unique<cuckoo::repl::ReplicationHub>(h);
+    hub->RegisterMetrics(&service.metrics());
     durability.SetReplicationBridge(hub.get());
     cuckoo::persist::DurabilityOptions d;
     d.dir = dir;
@@ -289,8 +290,7 @@ bool RunAckLevel(cuckoo::repl::AckLevel ack, const char* name, std::uint64_t ops
       !WaitConverged(&primary, &replica, "sentinel", value, &out->converge_ms)) {
     return false;
   }
-  std::string stats;
-  primary.hub->AppendStats(&stats);
+  const std::string stats = Drive(&primary.service, "stats\r\n");
   out->semi_sync_timeouts = StatValue(stats, "repl_semi_sync_timeouts");
   return true;
 }

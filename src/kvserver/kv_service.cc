@@ -1,12 +1,13 @@
 #include "src/kvserver/kv_service.h"
 
 #include <chrono>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/common/timing.h"
 #include "src/cuckoo/simd_probe.h"
-#include "src/obs/metrics.h"
 
 namespace cuckoo {
 namespace {
@@ -16,16 +17,6 @@ std::uint64_t WallSeconds() {
       std::chrono::duration_cast<std::chrono::seconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-}
-
-// STAT <prefix>_count/_p50/_p99/_p999/_max lines for one latency histogram.
-void AppendHistStats(const std::string& prefix, const obs::HistogramSnapshot& h,
-                     std::string* out) {
-  AppendStat(prefix + "_count", h.Count(), out);
-  AppendStat(prefix + "_p50", h.P50(), out);
-  AppendStat(prefix + "_p99", h.P99(), out);
-  AppendStat(prefix + "_p999", h.P999(), out);
-  AppendStat(prefix + "_max", h.Max(), out);
 }
 
 }  // namespace
@@ -41,7 +32,8 @@ KvService::KvService(Options opts)
       }()),
       tier_(opts.tier),
       clock_(opts.clock ? std::move(opts.clock) : WallSeconds),
-      slowlog_(opts.slowlog_threshold_ns, opts.slowlog_capacity) {}
+      slowlog_(opts.slowlog_threshold_ns, opts.slowlog_capacity),
+      own_metrics_(metrics_.Register(MetricGroups())) {}
 
 const char* KvService::CommandName(RequestType type) noexcept {
   switch (type) {
@@ -656,126 +648,20 @@ KvService::ProcessStatus KvService::Dispatch(const Request& request, std::string
 
 void KvService::HandleStats(const Request& request, std::string* response_out) {
   if (request.stats_arg == "slowlog") {
-    AppendSlowlogStats(response_out);
-    AppendEnd(response_out);
-    return;
-  }
-  if (!request.stats_arg.empty() && request.stats_arg != "detail") {
+    metrics_.RenderStats(obs::StatsLevel::kDetail, response_out, "slowlog");
+    AppendSlowlogEntries(response_out);
+  } else if (request.stats_arg.empty() || request.stats_arg == "detail") {
+    metrics_.RenderStats(request.stats_arg.empty() ? obs::StatsLevel::kPlain
+                                                   : obs::StatsLevel::kDetail,
+                         response_out);
+  } else {
     AppendError(response_out);  // unknown sub-report
     return;
-  }
-  AppendStat("curr_items", ItemCount(), response_out);
-  AppendStat("get_hits", GetHits(), response_out);
-  AppendStat("get_misses", GetMisses(), response_out);
-  AppendStat("cmd_set", static_cast<std::uint64_t>(sets_.Sum()), response_out);
-  AppendStat("cmd_delete", static_cast<std::uint64_t>(deletes_.Sum()), response_out);
-  AppendStat("expired_unfetched", Expirations(), response_out);
-  // Table-level observability: the MapStatsSnapshot counters that tell
-  // an operator whether the serving layer stresses the cuckoo paths.
-  const MapStatsSnapshot table = store_.Stats();
-  AppendStat("table_lookups", static_cast<std::uint64_t>(table.lookups), response_out);
-  AppendStat("table_read_retries", static_cast<std::uint64_t>(table.read_retries),
-             response_out);
-  AppendStat("table_path_searches", static_cast<std::uint64_t>(table.path_searches),
-             response_out);
-  AppendStat("table_path_invalidations",
-             static_cast<std::uint64_t>(table.path_invalidations), response_out);
-  AppendStat("table_displacements", static_cast<std::uint64_t>(table.displacements),
-             response_out);
-  AppendStat("table_expansions", static_cast<std::uint64_t>(table.expansions),
-             response_out);
-  AppendStat("table_insert_failures", static_cast<std::uint64_t>(table.insert_failures),
-             response_out);
-  AppendStat("table_migrations_started",
-             static_cast<std::uint64_t>(table.migrations_started), response_out);
-  AppendStat("table_migrations_completed",
-             static_cast<std::uint64_t>(table.migrations_completed), response_out);
-  AppendStat("table_migrations_force_finished",
-             static_cast<std::uint64_t>(table.migrations_force_finished), response_out);
-  AppendStat("table_migrated_entries",
-             static_cast<std::uint64_t>(table.migrated_entries), response_out);
-  AppendStat("table_migration_buckets_total",
-             static_cast<std::uint64_t>(table.migration_buckets_total), response_out);
-  AppendStat("table_migration_buckets_done",
-             static_cast<std::uint64_t>(table.migration_buckets_done), response_out);
-  AppendStat("table_hugepage_bytes", static_cast<std::uint64_t>(table.hugepage_bytes),
-             response_out);
-  AppendTierStats(response_out);
-  for (const auto& hook : extra_stats_) {
-    hook(response_out);  // server- and durability-layer counters
-  }
-  if (request.stats_arg == "detail") {
-    AppendLatencyStats(response_out);
-    for (const auto& hook : detail_stats_) {
-      hook(response_out);  // durability-layer latency percentiles etc.
-    }
   }
   AppendEnd(response_out);
 }
 
-void KvService::AppendLatencyStats(std::string* out) const {
-  for (std::size_t i = 0; i < kCommandKinds; ++i) {
-    const obs::HistogramSnapshot h = cmd_ns_[i].Snapshot();
-    if (h.Count() == 0) {
-      continue;
-    }
-    AppendHistStats(std::string("cmd_") + CommandName(static_cast<RequestType>(i)) + "_ns",
-                    h, out);
-  }
-  const MapStatsSnapshot table = store_.Stats();
-  AppendStat("table_lock_contended", static_cast<std::uint64_t>(table.lock_contended), out);
-  AppendHistStats("table_lookup_ns", table.lookup_ns, out);
-  AppendHistStats("table_insert_ns", table.insert_ns, out);
-  AppendHistStats("table_expansion_pause_ns", table.expansion_pause_ns, out);
-  AppendHistStats("table_migration_stall_ns", table.migration_stall_ns, out);
-  AppendStat("table_migration_max_stall_ns",
-             static_cast<std::uint64_t>(table.migration_max_stall_ns), out);
-  // String-valued: the probe-kernel dispatch level lookups actually run with
-  // (scalar / sse2 / avx2), resolved once from CPUID + CUCKOO_FORCE_PROBE.
-  out->append("STAT probe_kernel ");
-  out->append(simd::ProbeLevelName(simd::ActiveProbeLevel()));
-  out->append("\r\n");
-  if (tier_ != nullptr) {
-    AppendHistStats("vlog_disk_read_ns", tier_->DiskReadLatency(), out);
-  }
-}
-
-void KvService::AppendTierStats(std::string* out) const {
-  if (tier_ == nullptr) {
-    return;
-  }
-  const store::TieredStoreStats s = tier_->Stats();
-  AppendStat("vlog_threshold_bytes", static_cast<std::uint64_t>(tier_->threshold_bytes()),
-             out);
-  AppendStat("vlog_segments", s.log.live_segments, out);
-  AppendStat("vlog_total_bytes", s.log.total_bytes, out);
-  AppendStat("vlog_dead_bytes", s.log.dead_bytes, out);
-  AppendStat("vlog_appends", s.log.appends, out);
-  AppendStat("vlog_append_bytes", s.log.append_bytes, out);
-  AppendStat("vlog_torn_tail_bytes", s.log.torn_tail_bytes, out);
-  AppendStat("vlog_tiered_sets", s.tiered_sets, out);
-  AppendStat("vlog_hot_hits", s.hot_hits, out);
-  AppendStat("vlog_hot_misses", s.hot_misses, out);
-  AppendStat("vlog_disk_reads", s.disk_reads, out);
-  AppendStat("vlog_disk_read_errors", s.disk_read_errors, out);
-  AppendStat("vlog_gc_runs", s.gc_runs, out);
-  AppendStat("vlog_gc_segments_retired", s.gc_segments, out);
-  AppendStat("vlog_gc_records_scanned", s.gc_records_scanned, out);
-  AppendStat("vlog_gc_records_relocated", s.gc_records_relocated, out);
-  AppendStat("vlog_gc_failures", s.gc_failures, out);
-  AppendStat("vlog_reclaimed_bytes", s.log.reclaimed_bytes, out);
-  const auto hot = tier_->HotStats();
-  AppendStat("vlog_cache_bytes", hot.bytes, out);
-  AppendStat("vlog_cache_capacity_bytes", hot.capacity_bytes, out);
-  AppendStat("vlog_cache_evictions", hot.evictions, out);
-  out->append("STAT vlog_reader_backend ");
-  out->append(tier_->reader_backend());
-  out->append("\r\n");
-}
-
-void KvService::AppendSlowlogStats(std::string* out) const {
-  AppendStat("slowlog_threshold_ns", slowlog_.threshold_ns(), out);
-  AppendStat("slowlog_total", slowlog_.TotalLogged(), out);
+void KvService::AppendSlowlogEntries(std::string* out) const {
   // One line per retained entry, oldest first:
   //   STAT slowlog_entry <id> <latency_ns> <op> [<key>]
   for (const obs::Slowlog::Entry& e : slowlog_.Entries()) {
@@ -793,134 +679,163 @@ void KvService::AppendSlowlogStats(std::string* out) const {
   }
 }
 
-void KvService::AppendMetricsText(std::string* out) const {
-  obs::AppendGauge("cuckoo_kv_items", "Live entries in the store.",
-                   static_cast<double>(ItemCount()), out);
-  obs::AppendCounter("cuckoo_kv_get_hits_total", "get keys served from the table.",
-                     GetHits(), out);
-  obs::AppendCounter("cuckoo_kv_get_misses_total", "get keys not found (or expired).",
-                     GetMisses(), out);
-  obs::AppendCounter("cuckoo_kv_sets_total", "Successful set/cas stores.",
-                     static_cast<std::uint64_t>(sets_.Sum()), out);
-  obs::AppendCounter("cuckoo_kv_deletes_total", "Successful deletes.",
-                     static_cast<std::uint64_t>(deletes_.Sum()), out);
-  obs::AppendCounter("cuckoo_kv_expirations_total", "Entries reclaimed by lazy expiry.",
-                     Expirations(), out);
-  obs::AppendCounter("cuckoo_kv_slowlog_total",
-                     "Commands that crossed the slowlog threshold.",
-                     slowlog_.TotalLogged(), out);
-  for (std::size_t i = 0; i < kCommandKinds; ++i) {
-    const obs::HistogramSnapshot h = cmd_ns_[i].Snapshot();
-    if (h.Count() == 0) {
-      continue;
+std::vector<obs::MetricGroup> KvService::MetricGroups() const {
+  using Self = const KvService*;
+  using Table = MapStatsSnapshot;
+  obs::MetricGroupBuilder<Self> kv("kv", [this] { return this; });
+  kv.Gauge("curr_items", "Live entries in the store.", &KvService::ItemCount)
+      .As("cuckoo_kv_items")
+      .Counter("get_hits", "get keys served from the table.", &KvService::GetHits)
+      .As("cuckoo_kv_get_hits_total")
+      .Counter("get_misses", "get keys not found (or expired).", &KvService::GetMisses)
+      .As("cuckoo_kv_get_misses_total")
+      .Counter("cmd_set", "Successful set/cas stores.", [](Self s) { return s->sets_.Sum(); })
+      .As("cuckoo_kv_sets_total")
+      .Counter("cmd_delete", "Successful deletes.", [](Self s) { return s->deletes_.Sum(); })
+      .As("cuckoo_kv_deletes_total")
+      .Counter("expired_unfetched", "Entries reclaimed by lazy expiry.", &KvService::Expirations)
+      .As("cuckoo_kv_expirations_total");
+
+  // The MapStatsSnapshot counters that tell an operator whether the serving
+  // layer stresses the cuckoo paths.
+  obs::MetricGroupBuilder<Table> table("table", [this] { return store_.Stats(); });
+  table.Counter("table_lookups", "Cuckoo table lookups.", &Table::lookups)
+      .Counter("table_read_retries", "Optimistic reads retried after a version bump.",
+               &Table::read_retries)
+      .Counter("table_path_searches", "BFS/DFS cuckoo path searches.", &Table::path_searches)
+      .Counter("table_path_invalidations", "Cuckoo paths invalidated by racing writers.",
+               &Table::path_invalidations)
+      .Counter("table_displacements", "Slot displacements executed.", &Table::displacements)
+      .Counter("table_expansions", "Table expansions.", &Table::expansions)
+      .Counter("table_insert_failures", "Inserts refused by a full table.", &Table::insert_failures)
+      .Counter("table_migrations_started", "Incremental expansion windows opened.",
+               &Table::migrations_started)
+      .As("cuckoo_table_migrations_total")
+      .Counter("table_migrations_completed", "Incremental expansion windows fully drained.",
+               &Table::migrations_completed)
+      .Counter("table_migrations_force_finished",
+               "Migration windows closed by a bulk stop-the-world drain.",
+               &Table::migrations_force_finished)
+      .Counter("table_migrated_entries", "Entries moved old-core to new-core during migration.",
+               &Table::migrated_entries)
+      .Gauge("table_migration_buckets_total", "Old-core buckets in the current/last window.",
+             &Table::migration_buckets_total)
+      .As("cuckoo_table_migration_buckets")
+      .Gauge("table_migration_buckets_done", "Old-core buckets drained in the current/last window.",
+             &Table::migration_buckets_done)
+      .Gauge("table_migration_progress",
+             "Fraction of old-core buckets drained (current/last window).",
+             [](const Table& t) -> std::optional<double> {
+               if (t.migration_buckets_total <= 0) {
+                 return std::nullopt;  // no window opened yet
+               }
+               return static_cast<double>(t.migration_buckets_done) /
+                      static_cast<double>(t.migration_buckets_total);
+             })
+      .Gauge("table_hugepage_bytes",
+             "Table bytes granted MADV_HUGEPAGE backing (0 without --hugepages or when the kernel "
+             "declined).",
+             &Table::hugepage_bytes)
+      .Detail()
+      .Counter("table_lock_contended", "Stripe-lock acquisitions that hit contention.",
+               &Table::lock_contended)
+      .Histogram("table_lookup_ns", "Sampled in-table lookup latency.", &Table::lookup_ns)
+      .Histogram("table_insert_ns", "Sampled in-table insert latency.", &Table::insert_ns)
+      .Histogram("table_expansion_pause_ns", "Write pause while the table doubled.",
+                 &Table::expansion_pause_ns)
+      .Histogram("table_migration_stall_ns", "Per-writer migration piggyback/help stall.",
+                 &Table::migration_stall_ns)
+      .Gauge("table_migration_max_stall_ns", "Worst single-writer piggyback/help stall.",
+             &Table::migration_max_stall_ns)
+      // The level lookups run with, resolved once from CPUID + CUCKOO_FORCE_PROBE.
+      .Info("probe_kernel", "Active tag-probe dispatch level (1 = active).", "level",
+            [](const Table&) { return simd::ProbeLevelName(simd::ActiveProbeLevel()); },
+            {simd::ProbeLevelName(simd::ProbeLevel::kScalar),
+             simd::ProbeLevelName(simd::ProbeLevel::kSse2),
+             simd::ProbeLevelName(simd::ProbeLevel::kAvx2)});
+
+  // End-to-end Process() latency per command kind; kinds never run are left
+  // out.
+  using Commands = std::vector<obs::HistogramSnapshot>;
+  obs::MetricGroupBuilder<Commands> commands("commands", [this] {
+    Commands h;
+    for (const obs::Histogram& c : cmd_ns_) {
+      h.push_back(c.Snapshot());
     }
-    const std::string name = std::string("cuckoo_cmd_") +
-                             CommandName(static_cast<RequestType>(i)) + "_seconds";
-    obs::AppendLatencySummary(name, "End-to-end command latency.", h, 1e-9, out);
+    return h;
+  });
+  commands.Detail();
+  for (std::size_t i = 0; i < kCommandKinds; ++i) {
+    commands.Histogram(std::string("cmd_") + CommandName(static_cast<RequestType>(i)) + "_ns",
+                       "End-to-end command latency.", [i](const Commands& h) {
+                         return h[i].Count() == 0 ? nullptr : &h[i];
+                       });
   }
-  const MapStatsSnapshot table = store_.Stats();
-  obs::AppendCounter("cuckoo_table_lookups_total", "Cuckoo table lookups.",
-                     static_cast<std::uint64_t>(table.lookups), out);
-  obs::AppendCounter("cuckoo_table_read_retries_total",
-                     "Optimistic reads retried after a version bump.",
-                     static_cast<std::uint64_t>(table.read_retries), out);
-  obs::AppendCounter("cuckoo_table_path_searches_total", "BFS/DFS cuckoo path searches.",
-                     static_cast<std::uint64_t>(table.path_searches), out);
-  obs::AppendCounter("cuckoo_table_path_invalidations_total",
-                     "Cuckoo paths invalidated by racing writers.",
-                     static_cast<std::uint64_t>(table.path_invalidations), out);
-  obs::AppendCounter("cuckoo_table_displacements_total", "Slot displacements executed.",
-                     static_cast<std::uint64_t>(table.displacements), out);
-  obs::AppendCounter("cuckoo_table_expansions_total", "Table expansions.",
-                     static_cast<std::uint64_t>(table.expansions), out);
-  obs::AppendCounter("cuckoo_table_lock_contended_total",
-                     "Stripe-lock acquisitions that hit contention.",
-                     static_cast<std::uint64_t>(table.lock_contended), out);
-  obs::AppendLatencySummary("cuckoo_table_lookup_seconds",
-                            "Sampled in-table lookup latency.", table.lookup_ns, 1e-9, out);
-  obs::AppendLatencySummary("cuckoo_table_insert_seconds",
-                            "Sampled in-table insert latency.", table.insert_ns, 1e-9, out);
-  obs::AppendLatencySummary("cuckoo_table_expansion_pause_seconds",
-                            "Write pause while the table doubled.",
-                            table.expansion_pause_ns, 1e-9, out);
-  obs::AppendCounter("cuckoo_table_migrations_total",
-                     "Incremental expansion windows opened.",
-                     static_cast<std::uint64_t>(table.migrations_started), out);
-  obs::AppendCounter("cuckoo_table_migrations_completed_total",
-                     "Incremental expansion windows fully drained.",
-                     static_cast<std::uint64_t>(table.migrations_completed), out);
-  obs::AppendCounter("cuckoo_table_migrations_force_finished_total",
-                     "Migration windows closed by a bulk stop-the-world drain.",
-                     static_cast<std::uint64_t>(table.migrations_force_finished), out);
-  obs::AppendCounter("cuckoo_table_migrated_entries_total",
-                     "Entries moved old-core to new-core during migration.",
-                     static_cast<std::uint64_t>(table.migrated_entries), out);
-  if (table.migration_buckets_total > 0) {
-    obs::AppendGauge("cuckoo_table_migration_progress",
-                     "Fraction of old-core buckets drained (current/last window).",
-                     static_cast<double>(table.migration_buckets_done) /
-                         static_cast<double>(table.migration_buckets_total),
-                     out);
-  }
-  obs::AppendGauge("cuckoo_table_hugepage_bytes",
-                   "Table bytes granted MADV_HUGEPAGE backing (0 without --hugepages "
-                   "or when the kernel declined).",
-                   static_cast<double>(table.hugepage_bytes), out);
-  // One time-series per dispatch level, active level = 1: the idiomatic
-  // Prometheus shape for an enum (obs::Append* have no label support, so the
-  // lines are written directly).
-  out->append("# HELP cuckoo_probe_kernel Active tag-probe dispatch level (1 = active).\n");
-  out->append("# TYPE cuckoo_probe_kernel gauge\n");
-  const simd::ProbeLevel active_level = simd::ActiveProbeLevel();
-  for (const simd::ProbeLevel level :
-       {simd::ProbeLevel::kScalar, simd::ProbeLevel::kSse2, simd::ProbeLevel::kAvx2}) {
-    out->append("cuckoo_probe_kernel{level=\"");
-    out->append(simd::ProbeLevelName(level));
-    out->append(level == active_level ? "\"} 1\n" : "\"} 0\n");
-  }
-  obs::AppendGauge("cuckoo_table_migration_max_stall_seconds",
-                   "Worst single-writer piggyback/help stall.",
-                   static_cast<double>(table.migration_max_stall_ns) * 1e-9, out);
-  obs::AppendLatencySummary("cuckoo_table_migration_stall_seconds",
-                            "Per-writer migration piggyback/help stall.",
-                            table.migration_stall_ns, 1e-9, out);
+
+  using Log = const obs::Slowlog*;
+  obs::MetricGroupBuilder<Log> slowlog("slowlog", [this] { return &slowlog_; });
+  slowlog.Detail()
+      .Gauge("slowlog_threshold_ns", "Commands this slow enter the slowlog (0 = off).",
+             &obs::Slowlog::threshold_ns)
+      .Counter("slowlog_total", "Commands that crossed the slowlog threshold.",
+               &obs::Slowlog::TotalLogged)
+      .As("cuckoo_kv_slowlog_total");
+
+  std::vector<obs::MetricGroup> groups = {kv.Build(), table.Build()};
   if (tier_ != nullptr) {
-    const store::TieredStoreStats s = tier_->Stats();
-    obs::AppendCounter("cuckoo_vlog_tiered_sets_total",
-                       "Sets whose value went to the value log.", s.tiered_sets, out);
-    obs::AppendCounter("cuckoo_vlog_hot_hits_total",
-                       "Tiered reads served from the hot value cache.", s.hot_hits, out);
-    obs::AppendCounter("cuckoo_vlog_hot_misses_total",
-                       "Tiered reads that missed the hot value cache.", s.hot_misses, out);
-    obs::AppendCounter("cuckoo_vlog_disk_reads_total",
-                       "Tiered reads served from the value log on disk.", s.disk_reads, out);
-    obs::AppendCounter("cuckoo_vlog_disk_read_errors_total",
-                       "Value-log reads that failed or failed verification.",
-                       s.disk_read_errors, out);
-    obs::AppendCounter("cuckoo_vlog_gc_segments_total",
-                       "Value-log segments compacted and retired.", s.gc_segments, out);
-    obs::AppendCounter("cuckoo_vlog_gc_records_relocated_total",
-                       "Live records rewritten by value-log GC.", s.gc_records_relocated,
-                       out);
-    obs::AppendCounter("cuckoo_vlog_reclaimed_bytes_total",
-                       "Bytes reclaimed by retiring value-log segments.",
-                       s.log.reclaimed_bytes, out);
-    obs::AppendGauge("cuckoo_vlog_segments", "Live value-log segment files.",
-                     static_cast<double>(s.log.live_segments), out);
-    obs::AppendGauge("cuckoo_vlog_total_bytes", "Bytes across live value-log segments.",
-                     static_cast<double>(s.log.total_bytes), out);
-    obs::AppendGauge("cuckoo_vlog_dead_bytes",
-                     "Bytes in live segments no longer referenced by the table.",
-                     static_cast<double>(s.log.dead_bytes), out);
-    const auto hot = tier_->HotStats();
-    obs::AppendGauge("cuckoo_vlog_cache_bytes", "Hot value cache footprint.",
-                     static_cast<double>(hot.bytes), out);
-    obs::AppendGauge("cuckoo_vlog_cache_capacity_bytes", "Hot value cache budget.",
-                     static_cast<double>(hot.capacity_bytes), out);
-    obs::AppendLatencySummary("cuckoo_vlog_disk_read_seconds",
-                              "Value-log disk read latency (miss path).",
-                              tier_->DiskReadLatency(), 1e-9, out);
+    // Every tier counter in one scope, so entries name them by member.
+    struct Tier : store::TieredStoreStats,
+                  store::ValueLogStats,
+                  store::TieredStore::HotCache::CacheStats {};
+    const store::TieredStore* t = tier_;
+    obs::MetricGroupBuilder<Tier> tier("tier", [t] {
+      const store::TieredStoreStats s = t->Stats();
+      return Tier{s, s.log, t->HotStats()};
+    });
+    tier.Gauge("vlog_threshold_bytes", "Values at least this large go to the value log.",
+               [t](const Tier&) { return t->threshold_bytes(); })
+        .Gauge("vlog_segments", "Live value-log segment files.", &Tier::live_segments)
+        .Gauge("vlog_total_bytes", "Bytes across live value-log segments.", &Tier::total_bytes)
+        .Gauge("vlog_dead_bytes", "Bytes in live segments no longer referenced by the table.",
+               &Tier::dead_bytes)
+        .Counter("vlog_appends", "Value-log appends.", &Tier::appends)
+        .Counter("vlog_append_bytes", "Bytes appended to the value log.", &Tier::append_bytes)
+        .Gauge("vlog_torn_tail_bytes", "Bytes cut from a torn value-log tail at open.",
+               &Tier::torn_tail_bytes)
+        .Counter("vlog_tiered_sets", "Sets whose value went to the value log.", &Tier::tiered_sets)
+        .Counter("vlog_hot_hits", "Tiered reads served from the hot value cache.", &Tier::hot_hits)
+        .Counter("vlog_hot_misses", "Tiered reads that missed the hot value cache.",
+                 &Tier::hot_misses)
+        .Counter("vlog_disk_reads", "Tiered reads served from the value log on disk.",
+                 &Tier::disk_reads)
+        .Counter("vlog_disk_read_errors", "Value-log reads that failed or failed verification.",
+                 &Tier::disk_read_errors)
+        .Counter("vlog_gc_runs", "Value-log GC passes.", &Tier::gc_runs)
+        .Counter("vlog_gc_segments_retired", "Value-log segments compacted and retired.",
+                 &Tier::gc_segments)
+        .As("cuckoo_vlog_gc_segments_total")
+        .Counter("vlog_gc_records_scanned", "Records read by value-log GC.",
+                 &Tier::gc_records_scanned)
+        .Counter("vlog_gc_records_relocated", "Live records rewritten by value-log GC.",
+                 &Tier::gc_records_relocated)
+        .Counter("vlog_gc_failures", "Value-log GC passes that failed.", &Tier::gc_failures)
+        .Counter("vlog_reclaimed_bytes", "Bytes reclaimed by retiring value-log segments.",
+                 &Tier::reclaimed_bytes)
+        .Gauge("vlog_cache_bytes", "Hot value cache footprint.", &Tier::bytes)
+        .Gauge("vlog_cache_capacity_bytes", "Hot value cache budget.", &Tier::capacity_bytes)
+        .Counter("vlog_cache_evictions", "Hot value cache evictions.", &Tier::evictions)
+        .Info("vlog_reader_backend", "Value-log cold-read backend (1 = active).", "backend",
+              [t](const Tier&) { return t->reader_backend(); });
+    obs::MetricGroupBuilder<obs::HistogramSnapshot> disk("tier_latency",
+                                                         [t] { return t->DiskReadLatency(); });
+    disk.Detail().Histogram("vlog_disk_read_ns", "Value-log disk read latency (miss path).",
+                            std::identity{});
+    groups.push_back(tier.Build());
+    groups.push_back(disk.Build());
   }
+  groups.push_back(commands.Build());
+  groups.push_back(slowlog.Build());
+  return groups;
 }
 
 KvService::Connection::DriveStatus KvService::Connection::Drive(

@@ -23,6 +23,7 @@
 #include "src/common/per_thread_counter.h"
 #include "src/cuckoo/general_cuckoo_map.h"
 #include "src/kvserver/protocol.h"
+#include "src/obs/catalog.h"
 #include "src/obs/histogram.h"
 #include "src/obs/slowlog.h"
 #include "src/store/tiered_store.h"
@@ -324,25 +325,11 @@ class KvService {
                                                     const store::ValueLocation& old_loc,
                                                     std::string_view data);
 
-  // Extra STAT lines appended to every `stats` response — the network server
-  // installs its connection/traffic counters here, the durability layer its
-  // WAL/snapshot counters. Hooks must be thread-safe; install before serving
-  // traffic. Hooks run in installation order.
-  void AddExtraStatsHook(std::function<void(std::string*)> hook) {
-    extra_stats_.push_back(std::move(hook));
-  }
-
-  // Extra STAT lines appended only to `stats detail` responses — latency
-  // percentiles and other expensive-to-render reports live here so the plain
-  // `stats` hot path stays cheap. Same contract as AddExtraStatsHook.
-  void AddDetailStatsHook(std::function<void(std::string*)> hook) {
-    detail_stats_.push_back(std::move(hook));
-  }
-
-  // Prometheus text-format metrics for the service: per-command latency
-  // summaries, hit/miss/mutation counters, and the table-level cuckoo
-  // counters. Thread-safe; wire into a MetricsRegistry as a source.
-  void AppendMetricsText(std::string* out) const;
+  // The metric catalog `stats`, `stats detail` and /metrics render from.
+  // The service registers its own entries (commands, table, tier, slowlog);
+  // the socket server, durability manager and replication layers register
+  // theirs through scoped handles. Thread-safe.
+  obs::MetricCatalog& metrics() noexcept { return metrics_; }
 
   obs::Slowlog& slowlog() noexcept { return slowlog_; }
   const obs::Slowlog& slowlog() const noexcept { return slowlog_; }
@@ -443,9 +430,10 @@ class KvService {
   ProcessStatus Dispatch(const Request& request, std::string* out,
                          std::shared_ptr<DeferredGet>* deferred, std::deque<AckFence>* fences);
   void RecordLatency(RequestType type, std::uint64_t elapsed_ns, const std::string& key);
-  void AppendLatencyStats(std::string* out) const;
-  void AppendSlowlogStats(std::string* out) const;
-  void AppendTierStats(std::string* out) const;
+  // `STAT slowlog_entry ...` lines for `stats slowlog`.
+  void AppendSlowlogEntries(std::string* out) const;
+  // The service's own catalog groups, registered at construction.
+  std::vector<obs::MetricGroup> MetricGroups() const;
 
   // One histogram slot per RequestType value.
   static constexpr std::size_t kCommandKinds = 10;
@@ -454,8 +442,6 @@ class KvService {
   StoreMap store_;
   store::TieredStore* tier_ = nullptr;
   std::function<std::uint64_t()> clock_;
-  std::vector<std::function<void(std::string*)>> extra_stats_;
-  std::vector<std::function<void(std::string*)>> detail_stats_;
   MutationObserver* observer_ = nullptr;
   AckSource* acks_ = nullptr;
   std::function<bool()> bgsave_;
@@ -471,6 +457,8 @@ class KvService {
   PerThreadCounter expirations_;
   obs::Histogram cmd_ns_[kCommandKinds];  // end-to-end Process() latency
   obs::Slowlog slowlog_;
+  obs::MetricCatalog metrics_;
+  obs::MetricCatalog::Handle own_metrics_;
 };
 
 }  // namespace cuckoo

@@ -281,12 +281,4 @@ void AppendServerError(std::string_view message, std::string* out) {
   out->append("\r\n");
 }
 
-void AppendStat(std::string_view name, std::uint64_t value, std::string* out) {
-  out->append("STAT ");
-  out->append(name);
-  out->push_back(' ');
-  out->append(std::to_string(value));
-  out->append("\r\n");
-}
-
 }  // namespace cuckoo

@@ -139,7 +139,6 @@ void AppendBusy(std::string* out);         // BUSY\r\n    (bgsave already runnin
 // SERVER_ERROR <message>\r\n — the request was understood but could not be
 // completed (e.g. the write-ahead log is in an unrecoverable I/O-error state).
 void AppendServerError(std::string_view message, std::string* out);
-void AppendStat(std::string_view name, std::uint64_t value, std::string* out);
 
 }  // namespace cuckoo
 

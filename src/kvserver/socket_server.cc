@@ -179,18 +179,23 @@ bool SocketServer::Start() {
     }
   }
 
-  service_->AddExtraStatsHook([this](std::string* out) {
-    StatsSnapshot s = Stats();
-    AppendStat("server_connections_accepted", s.accepted, out);
-    AppendStat("server_connections_rejected", s.rejected_over_limit, out);
-    AppendStat("server_connections_idle_closed", s.closed_idle, out);
-    AppendStat("server_curr_connections", s.curr_connections, out);
-    AppendStat("server_bytes_read", s.bytes_read, out);
-    AppendStat("server_bytes_written", s.bytes_written, out);
-    AppendStat("server_backpressure_pauses", s.backpressure_pauses, out);
-    AppendStat("server_parked_reads", s.parked_reads, out);
-    AppendStat("server_curr_parked", s.curr_parked, out);
-  });
+  using Snap = StatsSnapshot;
+  obs::MetricGroupBuilder<Snap> server("server", [this] { return Stats(); });
+  server.Counter("server_connections_accepted", "Connections accepted.", &Snap::accepted)
+      .Counter("server_connections_rejected", "Connections refused over max_connections.",
+               &Snap::rejected_over_limit)
+      .Counter("server_connections_idle_closed", "Connections closed by the idle timeout.",
+               &Snap::closed_idle)
+      .Gauge("server_curr_connections", "Open client connections.", &Snap::curr_connections)
+      .Counter("server_bytes_read", "Bytes read from clients.", &Snap::bytes_read)
+      .Counter("server_bytes_written", "Bytes written to clients.", &Snap::bytes_written)
+      .Counter("server_backpressure_pauses", "Reads paused on a backed-up output buffer.",
+               &Snap::backpressure_pauses)
+      .Counter("server_parked_reads", "Connections suspended on a value-log read.",
+               &Snap::parked_reads)
+      .Gauge("server_curr_parked", "Connections suspended on a value-log read now.",
+             &Snap::curr_parked);
+  metrics_ = service_->metrics().Register({server.Build()});
 
   stopping_.store(false, std::memory_order_release);
   for (int i = 0; i < options_.event_threads; ++i) {

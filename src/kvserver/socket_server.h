@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "src/kvserver/kv_service.h"
+#include "src/obs/catalog.h"
 
 namespace cuckoo {
 
@@ -105,7 +106,8 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   // Bind + listen + start the event loops. Returns false on socket errors.
-  // Also installs the server's counters as extra `stats` lines on `service`.
+  // Also registers the server's counters in the service's metric catalog
+  // (replacing an earlier Start's; removed when the server is destroyed).
   bool Start();
 
   // Graceful stop: stop accepting and reading, flush pending responses
@@ -174,6 +176,8 @@ class SocketServer {
   std::atomic<std::uint64_t> backpressure_pauses_{0};
   std::atomic<std::uint64_t> parked_reads_{0};
   std::atomic<std::uint64_t> curr_parked_{0};
+  // Declared last: unregisters before anything its readers touch is gone.
+  obs::MetricCatalog::Handle metrics_;
 };
 
 // Minimal blocking client for tests, examples, and benches: connects over a

@@ -96,7 +96,7 @@ void MetricsHttpServer::HandleConnection(int fd) {
     status = "405 Method Not Allowed";
     body = "only GET is supported\n";
   } else if (path == "/metrics" || path == "/metrics/") {
-    body = registry_->Render();
+    body = catalog_->RenderPrometheus();
     requests_.fetch_add(1, std::memory_order_relaxed);
   } else if (path == "/" || path == "/health") {
     body = "ok\n";
@@ -115,7 +115,10 @@ void MetricsHttpServer::HandleConnection(int fd) {
                          body;
   std::size_t sent = 0;
   while (sent < response.size()) {
-    const ssize_t n = ::write(fd, response.data() + sent, response.size() - sent);
+    // MSG_NOSIGNAL: a scraper that resets mid-response must cost an error
+    // return, not a SIGPIPE that kills the embedding process.
+    const ssize_t n =
+        ::send(fd, response.data() + sent, response.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) {
         continue;

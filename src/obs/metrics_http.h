@@ -14,16 +14,16 @@
 #include <string>
 #include <thread>
 
-#include "src/obs/metrics.h"
+#include "src/obs/catalog.h"
 
 namespace cuckoo {
 namespace obs {
 
 class MetricsHttpServer {
  public:
-  // Serves `registry->Render()` at GET /metrics. The registry must outlive
-  // the server.
-  explicit MetricsHttpServer(const MetricsRegistry* registry) : registry_(registry) {}
+  // Serves `catalog->RenderPrometheus()` at GET /metrics. The catalog must
+  // outlive the server.
+  explicit MetricsHttpServer(const MetricCatalog* catalog) : catalog_(catalog) {}
   ~MetricsHttpServer() { Stop(); }
 
   MetricsHttpServer(const MetricsHttpServer&) = delete;
@@ -45,7 +45,7 @@ class MetricsHttpServer {
   void Serve();
   void HandleConnection(int fd);
 
-  const MetricsRegistry* registry_;
+  const MetricCatalog* catalog_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};

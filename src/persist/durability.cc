@@ -1,14 +1,13 @@
 #include "src/persist/durability.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <utility>
 
 #include "src/common/await.h"
 #include "src/common/file_util.h"
-#include "src/kvserver/protocol.h"
-#include "src/obs/metrics.h"
 #include "src/persist/snapshot.h"
 #include "src/store/tiered_store.h"
 
@@ -50,8 +49,7 @@ bool DurabilityManager::Start(DurabilityOptions options, std::string* error) {
   service_->SetMutationObserver(this);
   service_->SetAckSource(this);
   service_->SetBgsaveHook([this] { return TriggerSnapshot(); });
-  service_->AddExtraStatsHook([this](std::string* out) { AppendStats(out); });
-  service_->AddDetailStatsHook([this](std::string* out) { AppendDetailStats(out); });
+  metrics_ = service_->metrics().Register(MetricGroups());
   {
     MutexLock lk(mutex_);
     stop_ = false;
@@ -352,98 +350,71 @@ bool DurabilityManager::RunSnapshot() {
   return true;
 }
 
-void DurabilityManager::AppendStats(std::string* out) const {
-  const WalStats w = wal_.Stats();
-  out->append("STAT fsync_policy ");
-  out->append(FsyncPolicyName(options_.fsync_policy));
-  out->append("\r\n");
-  AppendStat("wal_records_appended", w.records_appended, out);
-  AppendStat("wal_bytes_appended", w.bytes_appended, out);
-  AppendStat("wal_fsyncs", w.fsyncs, out);
-  AppendStat("wal_group_commits", w.group_commits, out);
-  AppendStat("wal_max_batch_records", w.max_batch_records, out);
-  AppendStat("wal_segments_created", w.segments_created, out);
-  AppendStat("wal_last_lsn", w.last_assigned_lsn, out);
-  AppendStat("wal_written_lsn", wal_.WrittenLsn(), out);
-  AppendStat("wal_durable_lsn", w.durable_lsn, out);
-  AppendStat("wal_io_error", w.io_error ? 1 : 0, out);
-  AppendStat("snapshots_completed", snapshots_completed_.load(std::memory_order_relaxed),
-             out);
-  AppendStat("snapshot_failures", snapshot_failures_.load(std::memory_order_relaxed), out);
-  AppendStat("last_snapshot_lsn", last_snapshot_lsn_.load(std::memory_order_relaxed), out);
-  AppendStat("last_snapshot_entries",
-             last_snapshot_entries_.load(std::memory_order_relaxed), out);
-  AppendStat("snapshot_lock_fallbacks",
-             snapshot_walk_lock_fallbacks_.load(std::memory_order_relaxed), out);
-  AppendStat("snapshot_displaced_entries",
-             snapshot_displaced_entries_.load(std::memory_order_relaxed), out);
-  AppendStat("replica_applied_records",
-             replica_applied_records_.load(std::memory_order_relaxed), out);
-  AppendStat("replica_skipped_tiered",
-             replica_skipped_tiered_.load(std::memory_order_relaxed), out);
-  AppendStat("replica_resyncs", replica_resyncs_.load(std::memory_order_relaxed), out);
-  AppendStat("recovery_loaded_snapshot", recovery_.loaded_snapshot ? 1 : 0, out);
-  AppendStat("recovery_snapshot_entries", recovery_.snapshot_entries, out);
-  AppendStat("recovery_wal_records_applied", recovery_.wal_records_applied, out);
-  AppendStat("recovery_truncated_tail", recovery_.truncated_tail ? 1 : 0, out);
-  AppendStat("recovery_next_lsn", recovery_.next_lsn, out);
-}
+std::vector<obs::MetricGroup> DurabilityManager::MetricGroups() const {
+  using obs::Relaxed;
+  using DM = DurabilityManager;
+  obs::MetricGroupBuilder<WalStats> wal("wal", [this] { return wal_.Stats(); });
+  wal.Info("fsync_policy", "WAL fsync policy (1 = active).", "policy",
+           [this](const WalStats&) { return FsyncPolicyName(options_.fsync_policy); })
+      .Counter("wal_records_appended", "WAL records appended", &WalStats::records_appended)
+      .Counter("wal_bytes_appended", "WAL bytes appended", &WalStats::bytes_appended)
+      .Counter("wal_fsyncs", "WAL fsync calls", &WalStats::fsyncs)
+      .Counter("wal_group_commits", "WAL group-commit drain batches", &WalStats::group_commits)
+      .Gauge("wal_max_batch_records", "largest group-commit batch, in records",
+             &WalStats::max_batch_records)
+      .Counter("wal_segments_created", "WAL segment files created", &WalStats::segments_created)
+      .Gauge("wal_last_lsn", "highest assigned log sequence number", &WalStats::last_assigned_lsn)
+      .Gauge("wal_written_lsn", "highest log sequence number fully written to the segment file",
+             [this](const WalStats&) { return wal_.WrittenLsn(); })
+      .Gauge("wal_durable_lsn", "highest durable log sequence number", &WalStats::durable_lsn)
+      .Gauge("wal_io_error", "1 if the WAL is in its sticky I/O-error state", &WalStats::io_error);
 
-void DurabilityManager::AppendDetailStats(std::string* out) const {
-  const obs::HistogramSnapshot durable = append_durable_ns_.Snapshot();
-  AppendStat("wal_append_durable_ns_p50", durable.P50(), out);
-  AppendStat("wal_append_durable_ns_p99", durable.P99(), out);
-  AppendStat("wal_append_durable_ns_p999", durable.P999(), out);
-  AppendStat("wal_append_durable_ns_max", durable.Max(), out);
-  AppendStat("wal_append_durable_count", durable.Count(), out);
-  const obs::HistogramSnapshot batch = wal_.BatchRecordsSnapshot();
-  AppendStat("wal_batch_records_p50", batch.P50(), out);
-  AppendStat("wal_batch_records_p99", batch.P99(), out);
-  AppendStat("wal_batch_records_max", batch.Max(), out);
-  const obs::HistogramSnapshot walk = snapshot_walk_ns_.Snapshot();
-  AppendStat("snapshot_walk_ns_p50", walk.P50(), out);
-  AppendStat("snapshot_walk_ns_max", walk.Max(), out);
-  AppendStat("snapshot_walk_count", walk.Count(), out);
-}
+  obs::MetricGroupBuilder<const DM*> dm("durability", [this] { return this; });
+  dm.Counter("snapshots_completed", "online snapshots completed", &DM::SnapshotsCompleted)
+      .Counter("snapshot_failures", "online snapshot rounds that failed",
+               Relaxed(&DM::snapshot_failures_))
+      .Gauge("last_snapshot_lsn", "log sequence number the last snapshot covers",
+             Relaxed(&DM::last_snapshot_lsn_))
+      .Gauge("last_snapshot_entries", "entries in the last snapshot",
+             Relaxed(&DM::last_snapshot_entries_))
+      .Counter("snapshot_lock_fallbacks", "snapshot bucket walks that fell back to locking",
+               Relaxed(&DM::snapshot_walk_lock_fallbacks_))
+      .Counter("snapshot_displaced_entries", "entries a walk met twice after a displacement",
+               Relaxed(&DM::snapshot_displaced_entries_))
+      .Counter("replica_applied_records", "replicated WAL records applied locally",
+               &DM::ReplicaAppliedRecords)
+      .Counter("replica_skipped_tiered", "replicated tiered records that did not validate",
+               Relaxed(&DM::replica_skipped_tiered_))
+      .Counter("replica_resyncs", "full snapshot bootstraps performed as a replica",
+               &DM::ReplicaResyncs)
+      .Gauge("recovery_loaded_snapshot", "1 if startup recovery loaded a snapshot",
+             [](const DM* d) { return d->recovery_.loaded_snapshot; })
+      .Gauge("recovery_snapshot_entries", "entries startup recovery loaded from a snapshot",
+             [](const DM* d) { return d->recovery_.snapshot_entries; })
+      .Gauge("recovery_wal_records_applied", "WAL records startup recovery replayed",
+             [](const DM* d) { return d->recovery_.wal_records_applied; })
+      .Gauge("recovery_truncated_tail", "1 if startup recovery cut a torn WAL tail",
+             [](const DM* d) { return d->recovery_.truncated_tail; })
+      .Gauge("recovery_next_lsn", "first log sequence number after recovery",
+             [](const DM* d) { return d->recovery_.next_lsn; });
 
-void DurabilityManager::AppendMetricsText(std::string* out) const {
-  const WalStats w = wal_.Stats();
-  obs::AppendCounter("cuckoo_wal_records_appended_total", "WAL records appended",
-                     w.records_appended, out);
-  obs::AppendCounter("cuckoo_wal_bytes_appended_total", "WAL bytes appended",
-                     w.bytes_appended, out);
-  obs::AppendCounter("cuckoo_wal_fsyncs_total", "WAL fsync calls", w.fsyncs, out);
-  obs::AppendCounter("cuckoo_wal_group_commits_total", "WAL group-commit drain batches",
-                     w.group_commits, out);
-  obs::AppendGauge("cuckoo_wal_durable_lsn", "highest durable log sequence number",
-                   static_cast<double>(w.durable_lsn), out);
-  obs::AppendGauge("cuckoo_wal_written_lsn",
-                   "highest log sequence number fully written to the segment file",
-                   static_cast<double>(wal_.WrittenLsn()), out);
-  obs::AppendCounter("cuckoo_replica_applied_records_total",
-                     "replicated WAL records applied locally",
-                     replica_applied_records_.load(std::memory_order_relaxed), out);
-  obs::AppendCounter("cuckoo_replica_resyncs_total",
-                     "full snapshot bootstraps performed as a replica",
-                     replica_resyncs_.load(std::memory_order_relaxed), out);
-  obs::AppendGauge("cuckoo_wal_io_error", "1 if the WAL is in its sticky I/O-error state",
-                   w.io_error ? 1.0 : 0.0, out);
-  obs::AppendCounter("cuckoo_snapshots_completed_total", "online snapshots completed",
-                     snapshots_completed_.load(std::memory_order_relaxed), out);
-  obs::AppendCounter("cuckoo_snapshot_failures_total", "online snapshot rounds that failed",
-                     snapshot_failures_.load(std::memory_order_relaxed), out);
-  // Seconds-scaled summaries, per Prometheus conventions.
-  obs::AppendLatencySummary(
-      std::string("cuckoo_wal_append_durable_seconds"),
-      std::string("append to durable-ack latency (fsync policy: ") +
-          FsyncPolicyName(options_.fsync_policy) + ")",
-      append_durable_ns_.Snapshot(), 1e-9, out);
-  obs::AppendLatencySummary("cuckoo_wal_group_commit_records",
-                            "records per group-commit batch",
-                            wal_.BatchRecordsSnapshot(), 1.0, out);
-  obs::AppendLatencySummary("cuckoo_snapshot_walk_seconds",
-                            "fuzzy snapshot walk+publish duration",
-                            snapshot_walk_ns_.Snapshot(), 1e-9, out);
+  // Durations in seconds on /metrics, per Prometheus conventions.
+  using Latency = std::array<obs::HistogramSnapshot, 3>;
+  obs::MetricGroupBuilder<Latency> latency("durability_latency", [this] {
+    return Latency{append_durable_ns_.Snapshot(), wal_.BatchRecordsSnapshot(),
+                   snapshot_walk_ns_.Snapshot()};
+  });
+  latency.Detail()
+      .Histogram("wal_append_durable_ns",
+                 std::string("append to durable-ack latency (fsync policy: ") +
+                     FsyncPolicyName(options_.fsync_policy) + ")",
+                 [](const Latency& l) { return &l[0]; }, "wal_append_durable_count")
+      .Histogram("wal_batch_records", "records per group-commit batch",
+                 [](const Latency& l) { return &l[1]; })
+      .As("cuckoo_wal_group_commit_records")
+      .Histogram("snapshot_walk_ns", "fuzzy snapshot walk+publish duration",
+                 [](const Latency& l) { return &l[2]; }, "snapshot_walk_count");
+  return {wal.Build(), dm.Build(), latency.Build()};
 }
 
 }  // namespace persist

@@ -5,8 +5,8 @@
 //     assign LSNs inside table critical sections; WaitDurable gates the
 //     synchronous API's acks per the fsync policy) and as its AckSource (the
 //     socket path's non-blocking acks: WAL group commit, then semi-sync
-//     replication), install the `bgsave` hook, and register a `stats` hook
-//     exposing durability counters.
+//     replication), install the `bgsave` hook, and register the durability
+//     counters in the service's metric catalog (until destruction).
 //   * A background snapshot worker takes online fuzzy snapshots — triggered
 //     by WAL growth (snapshot_trigger_bytes) or an explicit bgsave — and
 //     garbage-collects WAL segments the published snapshot covers.
@@ -27,6 +27,7 @@
 #include "src/common/thread_annotations.h"
 #include "src/common/timing.h"
 #include "src/kvserver/kv_service.h"
+#include "src/obs/catalog.h"
 #include "src/obs/histogram.h"
 #include "src/persist/recovery.h"
 #include "src/persist/repl_bridge.h"
@@ -152,17 +153,6 @@ class DurabilityManager : public KvService::MutationObserver, public KvService::
     return wal_.Flush();
   }
 
-  // Append "STAT wal_*/snapshot_*/recovery_*" lines (stats hook body).
-  void AppendStats(std::string* out) const;
-
-  // `stats detail` additions: latency percentiles (append->durable under the
-  // active fsync policy, snapshot walk) and the group-commit batch-size
-  // distribution.
-  void AppendDetailStats(std::string* out) const;
-
-  // Prometheus text exposition for the same series (metrics endpoint).
-  void AppendMetricsText(std::string* out) const;
-
   obs::HistogramSnapshot AppendDurableSnapshot() const {
     return append_durable_ns_.Snapshot();
   }
@@ -173,6 +163,10 @@ class DurabilityManager : public KvService::MutationObserver, public KvService::
  private:
   void SnapshotWorker();
   bool RunSnapshot();
+  // wal_*/snapshot_*/replica_*/recovery_* counters, plus the latency
+  // distributions (append->durable under the active fsync policy, snapshot
+  // walk, group-commit batch size) on `stats detail`.
+  std::vector<obs::MetricGroup> MetricGroups() const;
 
   KvService* service_;
   DurabilityOptions options_;
@@ -214,6 +208,9 @@ class DurabilityManager : public KvService::MutationObserver, public KvService::
   // per answered write; snapshot walks are rare and recorded per round.
   obs::Histogram append_durable_ns_;
   obs::Histogram snapshot_walk_ns_;
+
+  // Declared last: unregisters before anything its readers touch is gone.
+  obs::MetricCatalog::Handle metrics_;
 };
 
 }  // namespace persist

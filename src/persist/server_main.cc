@@ -50,7 +50,6 @@
 #include "src/benchkit/flags.h"
 #include "src/kvserver/kv_service.h"
 #include "src/kvserver/socket_server.h"
-#include "src/obs/metrics.h"
 #include "src/obs/metrics_http.h"
 #include "src/persist/durability.h"
 #include "src/repl/replica_client.h"
@@ -207,8 +206,7 @@ int main(int argc, char** argv) {
 
   if (hub != nullptr) {
     service.SetReplicationUpgradeEnabled(true);
-    service.AddExtraStatsHook([&hub](std::string* out) { hub->AppendStats(out); });
-    service.AddDetailStatsHook([&hub](std::string* out) { hub->AppendDetailStats(out); });
+    hub->RegisterMetrics(&service.metrics());
     if (!replicaof.empty()) {
       // Read-only BEFORE the listeners open: no write can sneak in between
       // bind and the client thread establishing the stream.
@@ -220,7 +218,7 @@ int main(int argc, char** argv) {
       c.durability = &durability;
       c.wal_dir = wal_dir;
       replica = std::make_unique<repl::ReplicaClient>(c);
-      service.AddExtraStatsHook([&replica](std::string* out) { replica->AppendStats(out); });
+      replica->RegisterMetrics(&service.metrics());
     }
     service.SetReplicaofHandler([&service, &hub, &replica](const Request& request) {
       if (!request.repl_host.empty()) {
@@ -268,25 +266,12 @@ int main(int argc, char** argv) {
 
   // Prometheus endpoint, localhost-only. --metrics-port=0 asks the kernel
   // for a port; the chosen one is announced on the METRICS line.
-  obs::MetricsRegistry metrics;
-  obs::MetricsHttpServer metrics_server(&metrics);
+  obs::MetricsHttpServer metrics_server(&service.metrics());
   const bool want_metrics = flags.Has("metrics-port");
-  if (want_metrics) {
-    metrics.AddSource([&service](std::string* out) { service.AppendMetricsText(out); });
-    if (!wal_dir.empty()) {
-      metrics.AddSource(
-          [&durability](std::string* out) { durability.AppendMetricsText(out); });
-    }
-    if (hub != nullptr) {
-      metrics.AddSource([&hub](std::string* out) { hub->AppendMetricsText(out); });
-    }
-    if (replica != nullptr) {
-      metrics.AddSource([&replica](std::string* out) { replica->AppendMetricsText(out); });
-    }
-    if (!metrics_server.Start(static_cast<std::uint16_t>(flags.GetInt("metrics-port", 0)))) {
-      std::fprintf(stderr, "cannot bind metrics endpoint\n");
-      return 1;
-    }
+  if (want_metrics &&
+      !metrics_server.Start(static_cast<std::uint16_t>(flags.GetInt("metrics-port", 0)))) {
+    std::fprintf(stderr, "cannot bind metrics endpoint\n");
+    return 1;
   }
 
   std::printf("READY %u %s\n", static_cast<unsigned>(server.tcp_port()),

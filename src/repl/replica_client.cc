@@ -12,8 +12,6 @@
 #include <utility>
 
 #include "src/common/file_util.h"
-#include "src/kvserver/protocol.h"
-#include "src/obs/metrics.h"
 #include "src/persist/wal.h"
 
 namespace cuckoo {
@@ -359,34 +357,24 @@ void ReplicaClient::Session() {
   ::close(fd);
 }
 
-void ReplicaClient::AppendStats(std::string* out) const {
-  out->append("STAT repl_primary ");
-  out->append(options_.host);
-  out->append(":");
-  out->append(std::to_string(options_.port));
-  out->append("\r\n");
-  out->append("STAT repl_state ");
-  out->append(StateName());
-  out->append("\r\n");
-  AppendStat("repl_reconnects", reconnects_.load(std::memory_order_relaxed), out);
-  AppendStat("repl_client_full_syncs", full_syncs_.load(std::memory_order_relaxed), out);
-  AppendStat("repl_corrupt_streams", corrupt_streams_.load(std::memory_order_relaxed),
-             out);
-  AppendStat("repl_acks_sent", acks_sent_.load(std::memory_order_relaxed), out);
-}
-
-void ReplicaClient::AppendMetricsText(std::string* out) const {
-  obs::AppendGauge("cuckoo_repl_streaming",
-                   "1 while the replica is applying the primary's live stream",
-                   state() == State::kStreaming ? 1.0 : 0.0, out);
-  obs::AppendCounter("cuckoo_repl_reconnects_total", "replication link reconnects",
-                     reconnects_.load(std::memory_order_relaxed), out);
-  obs::AppendCounter("cuckoo_repl_client_full_syncs_total",
-                     "snapshot bootstraps performed by this replica",
-                     full_syncs_.load(std::memory_order_relaxed), out);
-  obs::AppendCounter("cuckoo_repl_corrupt_streams_total",
-                     "replication sessions torn down on a corrupt frame",
-                     corrupt_streams_.load(std::memory_order_relaxed), out);
+void ReplicaClient::RegisterMetrics(obs::MetricCatalog* catalog) {
+  using Self = const ReplicaClient*;
+  obs::MetricGroupBuilder<Self> client("repl_client", [this] { return this; });
+  client
+      .Info("repl_primary", "the primary this replica follows", "primary",
+            [](Self c) { return c->options_.host + ":" + std::to_string(c->options_.port); })
+      .Info("repl_state", "replication link state (1 = current)", "state",
+            &ReplicaClient::StateName)
+      .Gauge("repl_streaming", "1 while the replica is applying the primary's live stream",
+             [](Self c) { return c->state() == State::kStreaming; })
+      .Counter("repl_reconnects", "replication link reconnects", &ReplicaClient::Reconnects)
+      .Counter("repl_client_full_syncs", "snapshot bootstraps performed by this replica",
+               &ReplicaClient::FullSyncs)
+      .Counter("repl_corrupt_streams", "replication sessions torn down on a corrupt frame",
+               &ReplicaClient::CorruptStreams)
+      .Counter("repl_acks_sent", "ACK lines sent to the primary",
+               obs::Relaxed(&ReplicaClient::acks_sent_));
+  metrics_ = catalog->Register({client.Build()});
 }
 
 }  // namespace repl

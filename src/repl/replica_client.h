@@ -27,6 +27,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
+#include "src/obs/catalog.h"
 #include "src/persist/durability.h"
 
 namespace cuckoo {
@@ -71,8 +72,9 @@ class ReplicaClient {
   const std::string& primary_host() const { return options_.host; }
   std::uint16_t primary_port() const { return options_.port; }
 
-  void AppendStats(std::string* out) const;        // `stats` lines
-  void AppendMetricsText(std::string* out) const;  // Prometheus
+  // Register the replica-side repl_* counters in `catalog`, replacing an
+  // earlier registration; removed on destruction.
+  void RegisterMetrics(obs::MetricCatalog* catalog);
 
  private:
   void Run();
@@ -100,6 +102,9 @@ class ReplicaClient {
   std::atomic<std::uint64_t> full_syncs_{0};
   std::atomic<std::uint64_t> corrupt_streams_{0};
   std::atomic<std::uint64_t> acks_sent_{0};
+
+  // Declared last: unregisters before anything its readers touch is gone.
+  obs::MetricCatalog::Handle metrics_;
 };
 
 }  // namespace repl

@@ -13,8 +13,6 @@
 #include <utility>
 
 #include "src/common/file_util.h"
-#include "src/kvserver/protocol.h"
-#include "src/obs/metrics.h"
 #include "src/persist/snapshot.h"
 #include "src/persist/wal_tailer.h"
 #include "src/store/tiered_store.h"
@@ -583,65 +581,72 @@ std::uint64_t ReplicationHub::LagBytes() const {
   return now_bytes > best ? now_bytes - best : 0;
 }
 
-void ReplicationHub::AppendStats(std::string* out) const {
-  out->append("STAT repl_role ");
-  out->append(role_.load(std::memory_order_relaxed));
-  out->append("\r\n");
-  out->append("STAT repl_ack ");
-  out->append(AckLevelName(options_.ack));
-  out->append("\r\n");
-  AppendStat("repl_replicas", ConnectedReplicas(), out);
-  AppendStat("repl_head_lsn", head_written_lsn_.load(std::memory_order_acquire), out);
-  AppendStat("repl_lag_lsn", LagLsns(), out);
-  AppendStat("repl_lag_bytes", LagBytes(), out);
-  AppendStat("repl_replicas_adopted", replicas_adopted_.load(std::memory_order_relaxed),
-             out);
-  AppendStat("repl_full_syncs", full_syncs_.load(std::memory_order_relaxed), out);
-  AppendStat("repl_semi_sync_timeouts",
-             semi_sync_timeouts_.load(std::memory_order_relaxed), out);
-  AppendStat("repl_degraded_acks", degraded_acks_.load(std::memory_order_relaxed), out);
-}
+void ReplicationHub::RegisterMetrics(obs::MetricCatalog* catalog) {
+  using obs::Relaxed;
+  using Hub = ReplicationHub;
+  obs::MetricGroupBuilder<const Hub*> hub("repl", [this] { return this; });
+  hub.Info("repl_role", "replication role (1 = current)", "role",
+           [](const Hub* h) { return h->role_.load(std::memory_order_relaxed); })
+      .Info("repl_ack", "client ack level (1 = configured)", "level",
+            [](const Hub* h) { return AckLevelName(h->options_.ack); })
+      .Gauge("repl_replicas", "connected read replicas", &Hub::ConnectedReplicas)
+      .Gauge("repl_head_lsn", "primary replication head (written LSN)",
+             [](const Hub* h) { return h->head_written_lsn_.load(std::memory_order_acquire); })
+      .Gauge("repl_lag_lsn", "replication lag of the slowest connected replica, in records",
+             &Hub::LagLsns)
+      .Gauge("repl_lag_bytes", "approximate replication lag of the slowest replica, in WAL bytes",
+             &Hub::LagBytes)
+      .Counter("repl_replicas_adopted", "replica connections adopted",
+               Relaxed(&Hub::replicas_adopted_))
+      .Counter("repl_full_syncs", "replica snapshot bootstraps served", Relaxed(&Hub::full_syncs_))
+      .Counter("repl_semi_sync_timeouts", "writes refused because no replica acked in time",
+               Relaxed(&Hub::semi_sync_timeouts_))
+      .Counter("repl_degraded_acks", "semi-sync acks granted with zero replicas connected",
+               Relaxed(&Hub::degraded_acks_))
+      .Detail()
+      .Counter("repl_heartbeats_sent", "heartbeat frames sent to idle replicas",
+               Relaxed(&Hub::heartbeats_sent_));
 
-void ReplicationHub::AppendDetailStats(std::string* out) const {
-  AppendStat("repl_heartbeats_sent", heartbeats_sent_.load(std::memory_order_relaxed),
-             out);
-  MutexLock lk(mu_);
-  for (const auto& peer : peers_) {
-    if (peer->done.load(std::memory_order_acquire)) {
-      continue;
+  // One consistent view of the live peers for the per-peer families.
+  struct PeerView {
+    std::string id;
+    std::uint64_t acked_lsn = 0, next_lsn = 0, sent_bytes = 0, full_sync = 0;
+  };
+  using Peers = std::vector<PeerView>;
+  auto family = [](std::uint64_t PeerView::*field) {
+    return [field](const Peers& peers) {
+      std::vector<obs::FamilyMember> members;
+      for (const PeerView& p : peers) {
+        members.emplace_back(p.id, p.*field);
+      }
+      return members;
+    };
+  };
+  obs::MetricGroupBuilder<Peers> peers("repl_peers", [this] {
+    Peers out;
+    MutexLock lk(mu_);
+    for (const auto& p : peers_) {
+      if (p->done.load(std::memory_order_acquire)) {
+        continue;
+      }
+      const std::uint64_t needed = p->needed_lsn.load(std::memory_order_acquire);
+      out.push_back({std::to_string(p->id), p->acked_lsn.load(std::memory_order_acquire),
+                     needed == UINT64_MAX ? 0 : needed,
+                     p->sent_bytes.load(std::memory_order_relaxed),
+                     p->full_sync.load(std::memory_order_relaxed) ? 1u : 0u});
     }
-    const std::string prefix = "repl_peer_" + std::to_string(peer->id);
-    AppendStat(prefix + "_acked_lsn", peer->acked_lsn.load(std::memory_order_acquire),
-               out);
-    const std::uint64_t needed = peer->needed_lsn.load(std::memory_order_acquire);
-    AppendStat(prefix + "_next_lsn", needed == UINT64_MAX ? 0 : needed, out);
-    AppendStat(prefix + "_sent_bytes", peer->sent_bytes.load(std::memory_order_relaxed),
-               out);
-    AppendStat(prefix + "_full_sync", peer->full_sync.load(std::memory_order_relaxed) ? 1 : 0,
-               out);
-  }
-}
-
-void ReplicationHub::AppendMetricsText(std::string* out) const {
-  obs::AppendGauge("cuckoo_repl_replicas", "connected read replicas",
-                   static_cast<double>(ConnectedReplicas()), out);
-  obs::AppendGauge("cuckoo_repl_head_lsn", "primary replication head (written LSN)",
-                   static_cast<double>(head_written_lsn_.load(std::memory_order_acquire)),
-                   out);
-  obs::AppendGauge("cuckoo_repl_lag_lsn",
-                   "replication lag of the slowest connected replica, in records",
-                   static_cast<double>(LagLsns()), out);
-  obs::AppendGauge("cuckoo_repl_lag_bytes",
-                   "approximate replication lag of the slowest replica, in WAL bytes",
-                   static_cast<double>(LagBytes()), out);
-  obs::AppendCounter("cuckoo_repl_full_syncs_total", "replica snapshot bootstraps served",
-                     full_syncs_.load(std::memory_order_relaxed), out);
-  obs::AppendCounter("cuckoo_repl_semi_sync_timeouts_total",
-                     "writes refused because no replica acked in time",
-                     semi_sync_timeouts_.load(std::memory_order_relaxed), out);
-  obs::AppendCounter("cuckoo_repl_degraded_acks_total",
-                     "semi-sync acks granted with zero replicas connected",
-                     degraded_acks_.load(std::memory_order_relaxed), out);
+    return out;
+  });
+  peers.Detail()
+      .Family("repl_peer_*_acked_lsn", "highest LSN each replica acknowledged", "peer",
+              family(&PeerView::acked_lsn))
+      .Family("repl_peer_*_next_lsn", "next LSN each replica's sender reads", "peer",
+              family(&PeerView::next_lsn))
+      .Family("repl_peer_*_sent_bytes", "bytes sent to each replica", "peer",
+              family(&PeerView::sent_bytes))
+      .Family("repl_peer_*_full_sync", "1 if a replica was bootstrapped from a snapshot", "peer",
+              family(&PeerView::full_sync));
+  metrics_ = catalog->Register({hub.Build(), peers.Build()});
 }
 
 }  // namespace repl

@@ -28,6 +28,7 @@
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/kvserver/kv_service.h"
+#include "src/obs/catalog.h"
 #include "src/persist/durability.h"
 #include "src/persist/repl_bridge.h"
 #include "src/repl/replication.h"
@@ -92,9 +93,9 @@ class ReplicationHub : public persist::ReplicationBridge {
   // Approximate lag in WAL bytes (group-commit watermark ring; see .cc).
   std::uint64_t LagBytes() const;
 
-  void AppendStats(std::string* out) const;        // `stats` lines
-  void AppendDetailStats(std::string* out) const;  // per-replica lines
-  void AppendMetricsText(std::string* out) const;  // Prometheus
+  // Register the repl_* counters (per-replica lines on `stats detail`) in
+  // `catalog`, replacing an earlier registration; removed on destruction.
+  void RegisterMetrics(obs::MetricCatalog* catalog);
 
  private:
   struct Peer {
@@ -181,6 +182,9 @@ class ReplicationHub : public persist::ReplicationBridge {
   // Semi-sync acks granted with zero replicas connected (degraded mode).
   std::atomic<std::uint64_t> degraded_acks_{0};
   std::atomic<std::uint64_t> heartbeats_sent_{0};
+
+  // Declared last: unregisters before anything its readers touch is gone.
+  obs::MetricCatalog::Handle metrics_;
 };
 
 }  // namespace repl

@@ -8,6 +8,7 @@
 #include "src/cuckoo/simd_probe.h"
 #include "src/kvserver/kv_service.h"
 #include "src/kvserver/protocol.h"
+#include "src/obs/catalog.h"
 
 #include <gtest/gtest.h>
 
@@ -218,8 +219,13 @@ TEST(ProtocolSerializeTest, ValueResponseFormat) {
 }
 
 TEST(ProtocolSerializeTest, StatLine) {
+  obs::MetricCatalog catalog;
+  const obs::MetricCatalog::Handle handle = catalog.Register(
+      {obs::MetricGroupBuilder<int>("items", [] { return 42; })
+           .Gauge("curr_items", "Items.", [](int n) { return n; })
+           .Build()});
   std::string out;
-  AppendStat("curr_items", 42, &out);
+  catalog.RenderStats(obs::StatsLevel::kPlain, &out);
   EXPECT_EQ(out, "STAT curr_items 42\r\n");
 }
 
@@ -372,8 +378,7 @@ TEST(KvServiceTest, StatsExposeHugepageBytesAndProbeKernel) {
                            simd::ProbeLevelName(simd::ActiveProbeLevel()) + "\r\n";
   EXPECT_NE(out.find(want), std::string::npos) << out;
 
-  std::string metrics;
-  service.AppendMetricsText(&metrics);
+  const std::string metrics = service.metrics().RenderPrometheus();
   EXPECT_NE(metrics.find("cuckoo_table_hugepage_bytes 0\n"), std::string::npos);
   const std::string active = std::string("cuckoo_probe_kernel{level=\"") +
                              simd::ProbeLevelName(simd::ActiveProbeLevel()) + "\"} 1\n";
@@ -403,14 +408,27 @@ TEST(KvServiceTest, HugepageOptionReportsGrantedBytes) {
   ASSERT_NE(pos, std::string::npos);
 }
 
-TEST(KvServiceTest, ExtraStatsHookAppendsServerCounters) {
+TEST(KvServiceTest, RegisteredEntryAppearsAndDisappearsWithItsHandle) {
   KvService service;
-  service.AddExtraStatsHook([](std::string* out) { AppendStat("server_custom", 7, out); });
   auto conn = service.Connect();
   std::string out;
+  {
+    const obs::MetricCatalog::Handle handle = service.metrics().Register(
+        {obs::MetricGroupBuilder<int>("custom", [] { return 7; })
+             .Counter("server_custom", "Custom.", [](int n) { return n; })
+             .Build()});
+    conn.Drive("stats\r\n", &out);
+    EXPECT_NE(out.find("STAT server_custom 7\r\n"), std::string::npos);
+    EXPECT_EQ(out.substr(out.size() - 5), "END\r\n");
+    EXPECT_NE(service.metrics().RenderPrometheus().find("cuckoo_server_custom_total 7\n"),
+              std::string::npos);
+  }
+  out.clear();
   conn.Drive("stats\r\n", &out);
-  EXPECT_NE(out.find("STAT server_custom 7\r\n"), std::string::npos);
+  EXPECT_EQ(out.find("server_custom"), std::string::npos) << out;
   EXPECT_EQ(out.substr(out.size() - 5), "END\r\n");
+  EXPECT_EQ(service.metrics().RenderPrometheus().find("cuckoo_server_custom"),
+            std::string::npos);
 }
 
 TEST(KvServiceTest, ConcurrentConnectionsShareTheStore) {

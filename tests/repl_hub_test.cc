@@ -232,6 +232,7 @@ TEST(ReplHubTest, SemiSyncGatesClientAcksOnReplicaAcks) {
   hub_options.semi_sync_timeout_ms = 300;
   hub_options.heartbeat_ms = 50;
   ReplicationHub hub(hub_options);
+  hub.RegisterMetrics(&service.metrics());
   durability.SetReplicationBridge(&hub);
   persist::DurabilityOptions options;
   options.dir = dir.path;
@@ -242,8 +243,7 @@ TEST(ReplHubTest, SemiSyncGatesClientAcksOnReplicaAcks) {
   // Degraded mode: no replica connected yet, writes still ack locally.
   EXPECT_EQ(Drive(&service, "set pre 0 0 1\r\nx\r\n"), "STORED\r\n");
   {
-    std::string stats;
-    hub.AppendStats(&stats);
+    const std::string stats = Drive(&service, "stats\r\n");
     EXPECT_NE(stats.find("STAT repl_degraded_acks 1\r\n"), std::string::npos) << stats;
   }
 
@@ -266,8 +266,7 @@ TEST(ReplHubTest, SemiSyncGatesClientAcksOnReplicaAcks) {
   const std::string refused = Drive(&service, "set mute 0 0 1\r\nx\r\n");
   EXPECT_EQ(refused.rfind("SERVER_ERROR", 0), 0u) << refused;
   {
-    std::string stats;
-    hub.AppendStats(&stats);
+    const std::string stats = Drive(&service, "stats\r\n");
     EXPECT_NE(stats.find("STAT repl_semi_sync_timeouts 1\r\n"), std::string::npos)
         << stats;
   }
@@ -296,6 +295,7 @@ TEST(ReplHubTest, SemiSyncAckWaitsOffTheLoopAndTimesOutOverSocket) {
   hub_options.semi_sync_timeout_ms = 300;
   hub_options.heartbeat_ms = 50;
   ReplicationHub hub(hub_options);
+  hub.RegisterMetrics(&service.metrics());
   durability.SetReplicationBridge(&hub);
   persist::DurabilityOptions options;
   options.dir = dir.path;
@@ -315,8 +315,7 @@ TEST(ReplHubTest, SemiSyncAckWaitsOffTheLoopAndTimesOutOverSocket) {
                              stored3),
             stored3);
   {
-    std::string stats;
-    hub.AppendStats(&stats);
+    const std::string stats = Drive(&service, "stats\r\n");
     EXPECT_NE(stats.find("STAT repl_degraded_acks 3\r\n"), std::string::npos) << stats;
   }
 
@@ -344,8 +343,7 @@ TEST(ReplHubTest, SemiSyncAckWaitsOffTheLoopAndTimesOutOverSocket) {
   EXPECT_EQ(refused, refused3);
   EXPECT_GE(std::chrono::steady_clock::now() - sent, std::chrono::milliseconds(250));
   {
-    std::string stats;
-    hub.AppendStats(&stats);
+    const std::string stats = Drive(&service, "stats\r\n");
     EXPECT_NE(stats.find("STAT repl_semi_sync_timeouts 3\r\n"), std::string::npos)
         << stats;
   }
