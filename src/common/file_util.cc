@@ -11,10 +11,33 @@
 #include <cstdio>
 
 namespace cuckoo {
+namespace {
+
+// Source of ZeroFill's bytes, written one block at a time.
+constexpr std::size_t kZeroBlock = 64u << 10;
+const char kZeros[kZeroBlock] = {};
+
+// pwrite every byte of `bytes` at `offset`, restarting on EINTR / short writes.
+bool PwriteAll(int fd, const char* bytes, std::size_t len, std::uint64_t offset) {
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pwrite(fd, bytes + done, len - done, static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
 
 bool AppendFile::Open(const std::string& path, bool truncate) {
   Close();
-  int flags = O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC;
+  int flags = O_WRONLY | O_CREAT | O_CLOEXEC;
   if (truncate) {
     flags |= O_TRUNC;
   }
@@ -29,25 +52,40 @@ bool AppendFile::Open(const std::string& path, bool truncate) {
     struct stat st;
     size_ = (::fstat(fd_, &st) == 0) ? static_cast<std::uint64_t>(st.st_size) : 0;
   }
+  filled_ = size_;
   return true;
 }
 
 bool AppendFile::Append(std::string_view bytes) {
+  if (fd_ < 0 || !PwriteAll(fd_, bytes.data(), bytes.size(), size_)) {
+    return false;
+  }
+  size_ += bytes.size();
+  return true;
+}
+
+bool AppendFile::ZeroFill(std::uint64_t bytes) {
   if (fd_ < 0) {
     return false;
   }
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
+  filled_ = FilledEnd();
+  const std::uint64_t end = filled_ + bytes;
+  while (filled_ < end) {
+    const std::size_t take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kZeroBlock, end - filled_));
+    if (!PwriteAll(fd_, kZeros, take, filled_)) {
       return false;
     }
-    done += static_cast<std::size_t>(n);
+    filled_ += take;
   }
-  size_ += bytes.size();
+  return true;
+}
+
+bool AppendFile::TruncateToSize() {
+  if (fd_ < 0 || ::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+    return false;
+  }
+  filled_ = size_;
   return true;
 }
 

@@ -1,6 +1,7 @@
 #include "src/obs/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "src/common/mutex.h"
@@ -26,7 +27,10 @@ void AppendStat(std::string_view name, std::string_view value, std::string* out)
 
 std::string FormatDouble(double value) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
+  // Integral values print exactly (an LSN or a byte count past 1e9 would
+  // lose digits to %.9g); fractions keep nine significant digits.
+  const bool integral = std::trunc(value) == value && std::fabs(value) < 1e18;
+  std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.9g", value);
   return buf;
 }
 

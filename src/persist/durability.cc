@@ -367,7 +367,9 @@ std::vector<obs::MetricGroup> DurabilityManager::MetricGroups() const {
       .Gauge("wal_written_lsn", "highest log sequence number fully written to the segment file",
              [this](const WalStats&) { return wal_.WrittenLsn(); })
       .Gauge("wal_durable_lsn", "highest durable log sequence number", &WalStats::durable_lsn)
-      .Gauge("wal_io_error", "1 if the WAL is in its sticky I/O-error state", &WalStats::io_error);
+      .Gauge("wal_io_error", "1 if the WAL is in its sticky I/O-error state", &WalStats::io_error)
+      .Counter("wal_prefill_bytes", "zero bytes written ahead of WAL records (fsync=always)",
+               &WalStats::prefill_bytes);
 
   obs::MetricGroupBuilder<const DM*> dm("durability", [this] { return this; });
   dm.Counter("snapshots_completed", "online snapshots completed", &DM::SnapshotsCompleted)
@@ -399,10 +401,10 @@ std::vector<obs::MetricGroup> DurabilityManager::MetricGroups() const {
              [](const DM* d) { return d->recovery_.next_lsn; });
 
   // Durations in seconds on /metrics, per Prometheus conventions.
-  using Latency = std::array<obs::HistogramSnapshot, 3>;
+  using Latency = std::array<obs::HistogramSnapshot, 4>;
   obs::MetricGroupBuilder<Latency> latency("durability_latency", [this] {
     return Latency{append_durable_ns_.Snapshot(), wal_.BatchRecordsSnapshot(),
-                   snapshot_walk_ns_.Snapshot()};
+                   snapshot_walk_ns_.Snapshot(), wal_.SyncNsSnapshot()};
   });
   latency.Detail()
       .Histogram("wal_append_durable_ns",
@@ -412,6 +414,8 @@ std::vector<obs::MetricGroup> DurabilityManager::MetricGroups() const {
       .Histogram("wal_batch_records", "records per group-commit batch",
                  [](const Latency& l) { return &l[1]; })
       .As("cuckoo_wal_group_commit_records")
+      .Histogram("wal_sync_ns", "WAL sync duration (value-log sync hook + fdatasync)",
+                 [](const Latency& l) { return &l[3]; })
       .Histogram("snapshot_walk_ns", "fuzzy snapshot walk+publish duration",
                  [](const Latency& l) { return &l[2]; }, "snapshot_walk_count");
   return {wal.Build(), dm.Build(), latency.Build()};

@@ -11,6 +11,7 @@
 
 #include "src/common/await.h"
 #include "src/common/crc32c.h"
+#include "src/common/timing.h"
 
 namespace cuckoo {
 namespace persist {
@@ -64,6 +65,11 @@ void EncodeFields(std::string* out, std::uint64_t lsn, WalRecord::Type type,
 }  // namespace
 
 namespace internal {
+
+bool IsZeroFill(const std::string& bytes, std::size_t from) {
+  return std::all_of(bytes.begin() + static_cast<std::ptrdiff_t>(from), bytes.end(),
+                     [](char c) { return c == 0; });
+}
 
 int DecodeWalRecord(const std::string& bytes, std::size_t* pos, WalRecord* out) {
   std::size_t p = *pos;
@@ -353,6 +359,8 @@ void WriteAheadLog::Shutdown() {
   }
   RunWaiters(std::move(decided));
   MutexLock io(io_mutex_);
+  // Best effort: replay also accepts a zero tail left behind.
+  file_.TruncateToSize();
   file_.Close();
 }
 
@@ -363,12 +371,36 @@ bool WriteAheadLog::SyncLocked() {
   // Value-log bytes before the records that point at them: the hook's
   // failure fails the sync, so no ack ever covers a record whose value
   // bytes might be lost.
-  return (!sync_hook_ || sync_hook_()) && file_.Sync();
+  const std::uint64_t start = NowNanos();
+  const bool ok = (!sync_hook_ || sync_hook_()) && file_.Sync();
+  sync_ns_hist_.Record(NowNanos() - start);
+  return ok;
+}
+
+void WriteAheadLog::PrefillLocked(std::size_t batch_bytes) {
+  const std::uint64_t filled = file_.FilledEnd();
+  if (options_.fsync_policy != FsyncPolicy::kAlways || file_.Size() + batch_bytes <= filled) {
+    return;
+  }
+  // Capped at the rotation point: the segment is cut back there anyway.
+  const std::uint64_t end = std::min(filled + internal::kWalPrefillChunk, options_.segment_bytes);
+  if (end > filled) {
+    // The outcome is not checked: a failed or short fill leaves the batch
+    // to grow the file itself, and its own write and sync decide its fate.
+    file_.ZeroFill(end - filled);
+    prefill_bytes_.fetch_add(file_.FilledEnd() - filled, std::memory_order_relaxed);
+  }
 }
 
 void WriteAheadLog::WriterLoop() {
+  // Swapped with pending_ on every drain, so appenders reuse its capacity.
+  std::string batch;
   for (;;) {
-    std::string batch;
+    if (batch.capacity() > internal::kMaxRecycledBatch) {
+      std::string().swap(batch);
+    } else {
+      batch.clear();
+    }
     std::uint64_t batch_max_lsn = 0;
     std::uint64_t batch_records = 0;
     std::uint64_t flush_gen = 0;
@@ -406,6 +438,7 @@ void WriteAheadLog::WriterLoop() {
         ok = false;
       }
       if (ok && !batch.empty()) {
+        PrefillLocked(batch.size());
         ok = file_.Append(batch);
         group_commits_.fetch_add(1, std::memory_order_relaxed);
         batch_records_hist_.Record(batch_records);
@@ -489,6 +522,9 @@ void WriteAheadLog::WriterLoop() {
 }
 
 bool WriteAheadLog::RotateLocked(std::uint64_t first_lsn) {
+  // Seal the segment at its record end. Best effort: replay also accepts a
+  // zero tail on a sealed segment.
+  file_.TruncateToSize();
   return StartSegment(first_lsn);
 }
 
@@ -502,6 +538,7 @@ WalStats WriteAheadLog::Stats() const {
   s.segments_created = segments_created_.load(std::memory_order_relaxed);
   s.last_assigned_lsn = LastAssignedLsn();
   s.durable_lsn = DurableLsn();
+  s.prefill_bytes = prefill_bytes_.load(std::memory_order_relaxed);
   s.io_error = InErrorState();
   return s;
 }
@@ -615,6 +652,14 @@ bool ReplayWal(const std::string& dir, std::uint64_t start_lsn, bool truncate_to
       WalRecord record;
       const std::size_t record_start = pos;
       if (internal::DecodeWalRecord(bytes, &pos, &record) != 1) {
+        // Zero fill up to the end of the file: this segment's records end
+        // here. The next segment's header must still continue the LSNs.
+        if (internal::IsZeroFill(bytes, record_start)) {
+          if (truncate_torn_tail && !TruncateFile(path, record_start)) {
+            return fail("cannot truncate zero fill in " + path);
+          }
+          break;
+        }
         // Invalid frame: torn tail if and only if this is the end of the log.
         if (!last_segment) {
           return fail("corrupt WAL record mid-log in " + path);

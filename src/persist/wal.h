@@ -21,17 +21,29 @@
 //               on OS crash).
 //   kNone     — never fsync explicitly; the OS flushes on its schedule.
 //
+// Zero fill (kAlways only): an fdatasync that follows a write growing the
+// file must also commit the new size through the filesystem journal. So the
+// writer keeps a zero-filled region ahead of the write offset: when a batch
+// would cross its end, the writer first writes one kWalPrefillChunk of zeros
+// past it (no sync of its own). Batches then overwrite zeros in place, and
+// one journal commit — the next batch's fdatasync — covers a whole chunk
+// instead of every batch. A zero fill never acks or fails anything by
+// itself; the batch's own write and sync decide. Rotation and Shutdown cut
+// the segment back to its record end.
+//
 // On-disk format (host-endian; machine-local files, not interchange):
-//   segment := header record*
+//   segment := header record* zero*
 //   header  := "CKWALSG1" u32 version=1 u32 flags=0 u64 first_lsn   (24 bytes)
 //   record  := u32 masked_crc32c  u32 len  payload[len]
 //   payload := u64 lsn  u8 type  u32 flags  u64 expires_at  u64 cas_id
 //              u32 klen  u32 dlen  key[klen]  data[dlen]
 // The CRC covers len and payload and is stored masked (see crc32c.h).
 // Segments are named wal-<first_lsn>.log; LSNs are strictly sequential
-// across segment boundaries, which replay verifies. A partially written
-// record at the tail of the LAST segment is a torn tail (tolerated,
-// truncated); anywhere else it is corruption.
+// across segment boundaries, which replay verifies. A run of zero bytes from
+// a record boundary to the end of a segment is zero fill: the end of that
+// segment's records, in any segment. Any other partially written record at
+// the tail of the LAST segment is a torn tail (tolerated, truncated);
+// anywhere else it is corruption.
 #ifndef SRC_PERSIST_WAL_H_
 #define SRC_PERSIST_WAL_H_
 
@@ -90,6 +102,7 @@ struct WalStats {
   std::uint64_t segments_created = 0;
   std::uint64_t last_assigned_lsn = 0;
   std::uint64_t durable_lsn = 0;
+  std::uint64_t prefill_bytes = 0;  // zeros written ahead of the records (kAlways)
   bool io_error = false;  // sticky: the log hit an unrecoverable write/fsync failure
 };
 
@@ -190,6 +203,9 @@ class WriteAheadLog {
   obs::HistogramSnapshot BatchRecordsSnapshot() const {
     return batch_records_hist_.Snapshot();
   }
+  // Duration of each sync (one per group commit under kAlways): the sync
+  // hook plus the fdatasync.
+  obs::HistogramSnapshot SyncNsSnapshot() const { return sync_ns_hist_.Snapshot(); }
 
   // Delete closed segments every record of which has lsn < `lsn` (i.e. fully
   // covered by a snapshot at `lsn`). The active segment is never removed.
@@ -206,6 +222,9 @@ class WriteAheadLog {
   void WriterLoop();
   // fsync the segment, running the sync hook first.
   bool SyncLocked() REQUIRES(io_mutex_);
+  // kAlways: zero-fill one chunk ahead before a batch of `batch_bytes`
+  // would cross the filled end of the segment.
+  void PrefillLocked(std::size_t batch_bytes) REQUIRES(io_mutex_);
   // The ack rule (see NotifyDurable): true once `lsn` is decided, with
   // *through set. `stopped`: the log is shut down.
   bool AckThrough(std::uint64_t lsn, bool stopped, std::uint64_t* through) const;
@@ -253,6 +272,8 @@ class WriteAheadLog {
   // Counters (writer thread only, read via Stats()).
   std::atomic<std::uint64_t> records_appended_{0};
   obs::Histogram batch_records_hist_;  // records per group-commit drain
+  obs::Histogram sync_ns_hist_;        // sync hook + fdatasync, per sync
+  std::atomic<std::uint64_t> prefill_bytes_{0};
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<std::uint64_t> group_commits_{0};
   std::atomic<std::uint64_t> max_batch_records_{0};
@@ -283,8 +304,10 @@ struct WalReplayStats {
 // segments hold only records the snapshot already covers and are ignored —
 // they may legitimately end short of the next segment's first LSN when a
 // snapshot published ahead of the durable WAL tail before a crash under
-// fsync=everysec/none). A malformed record at the tail of the last segment
-// is treated as a torn write: replay stops there and, if
+// fsync=everysec/none). Zero fill from a record boundary to the end of a
+// segment ends that segment's records; it is not counted as torn, and it is
+// cut off when `truncate_torn_tail`. Any other malformed record at the tail
+// of the last segment is treated as a torn write: replay stops there and, if
 // `truncate_torn_tail`, the file is truncated to the last valid boundary. A
 // malformed record anywhere else — or any LSN discontinuity from the anchor
 // on — is unrecoverable corruption: returns false with a description in
@@ -299,6 +322,14 @@ inline constexpr char kWalMagic[8] = {'C', 'K', 'W', 'A', 'L', 'S', 'G', '1'};
 inline constexpr std::uint32_t kWalVersion = 1;
 inline constexpr std::size_t kWalHeaderSize = 8 + 4 + 4 + 8;
 inline constexpr std::size_t kRecordFrameSize = 4 + 4;  // crc + len
+// Zeros written ahead of the write offset at a time under kAlways (see the
+// top of this file). 1 MiB and 8 MiB measured the same; the smaller one
+// wastes less when a segment is cut back at rotation.
+inline constexpr std::uint64_t kWalPrefillChunk = 1u << 20;
+// The writer hands each drained batch buffer back to the appenders with its
+// capacity, so they do not regrow it under the WAL mutex; a buffer an
+// outsized batch grew past this is released instead.
+inline constexpr std::size_t kMaxRecycledBatch = 1u << 20;
 // Guard against absurd `len` fields from corruption: key <= 250 and
 // data <= 1 MiB at the protocol layer, so 8 MiB of payload is impossible.
 inline constexpr std::uint32_t kMaxRecordPayload = 8u << 20;
@@ -310,6 +341,9 @@ void EncodeWalRecord(const WalRecord& record, std::string* out);
 // *pos advanced) and 0 on a malformed/truncated frame (*pos untouched — the
 // caller decides torn-tail vs corruption vs need-more-bytes).
 int DecodeWalRecord(const std::string& bytes, std::size_t* pos, WalRecord* out);
+
+// True if bytes[from, end) are all zero: zero fill, past a segment's records.
+bool IsZeroFill(const std::string& bytes, std::size_t from);
 
 // Segment file name for a given first LSN.
 std::string SegmentName(std::uint64_t first_lsn);

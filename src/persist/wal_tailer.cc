@@ -15,7 +15,9 @@ namespace cuckoo {
 namespace persist {
 namespace {
 
-constexpr std::size_t kReadChunk = 256u << 10;
+// One read per call: a caught-up tailer re-reads from its next frame on every
+// commit, and under fsync=always what follows that frame is mostly zero fill.
+constexpr std::size_t kReadChunk = 64u << 10;
 // Drop consumed buffer prefix once it grows past this.
 constexpr std::size_t kCompactThreshold = 1u << 20;
 
@@ -119,30 +121,24 @@ WalTailer::SegOpen WalTailer::OpenSegment(std::uint64_t first_lsn, std::string* 
 }
 
 bool WalTailer::ReadMore(std::size_t* got) {
-  *got = 0;
   char chunk[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::pread(fd_, chunk, sizeof(chunk), static_cast<off_t>(file_offset_));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    if (n == 0) {
-      return true;
-    }
-    buf_.append(chunk, static_cast<std::size_t>(n));
-    file_offset_ += static_cast<std::uint64_t>(n);
-    *got += static_cast<std::size_t>(n);
-    if (static_cast<std::size_t>(n) < sizeof(chunk)) {
-      return true;
-    }
+  ssize_t n;
+  do {
+    n = ::pread(fd_, chunk, sizeof(chunk), static_cast<off_t>(file_offset_));
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    return false;
   }
+  buf_.append(chunk, static_cast<std::size_t>(n));
+  file_offset_ += static_cast<std::uint64_t>(n);
+  *got = static_cast<std::size_t>(n);
+  return true;
 }
 
 WalTailer::Result WalTailer::Next(std::uint64_t watermark, WalRecord* out,
                                   std::string* error) {
+  // Whether buf_ past pos_ was read after the frame at pos_ failed to decode.
+  bool reread = false;
   for (;;) {
     // LSNs are strictly sequential, so the next frame in the file is exactly
     // expected_lsn_; past the watermark it may still be mid-write().
@@ -174,6 +170,7 @@ WalTailer::Result WalTailer::Next(std::uint64_t watermark, WalRecord* out,
         return Result::kError;
       }
       pos_ = p;
+      reread = false;
       ++expected_lsn_;
       if (record.lsn < start_lsn_) {
         continue;  // anchor-segment prefix the replica already has
@@ -182,23 +179,33 @@ WalTailer::Result WalTailer::Next(std::uint64_t watermark, WalRecord* out,
       *out = std::move(record);
       return Result::kRecord;
     }
-    // Frame incomplete in buf_: pull more bytes from the file.
+    // The frame at pos_ does not decode from buf_. Bytes buffered past the
+    // last good frame may have been read before the writer reached them —
+    // zero fill it has since overwritten — so drop them once and read again
+    // from the frame's own offset.
+    if (!reread) {
+      file_offset_ -= buf_.size() - pos_;
+      buf_.resize(pos_);
+      reread = true;
+    }
     std::size_t got = 0;
     if (!ReadMore(&got)) {
       SetError(error, "WAL tail read error: " + std::string(std::strerror(errno)));
       return Result::kError;
     }
-    if (got > 0) {
+    const bool zeros_only = internal::IsZeroFill(buf_, pos_);
+    if (got > 0 && !zeros_only) {
       continue;
     }
-    // At EOF with a record still owed (expected_lsn_ <= watermark). Either
-    // the writer rotated — the record lives in the next segment, which
-    // always begins at exactly expected_lsn_ — or the file grew between our
-    // decode and this check. Rotation leaves no partial frame behind, so
-    // leftover bytes here mean corruption.
+    // At the end of this segment's records (EOF or zero fill) with a record
+    // still owed (expected_lsn_ <= watermark). Either the writer rotated —
+    // the record lives in the next segment, which always begins at exactly
+    // expected_lsn_ — or the file grew between our read and this check.
+    // Rotation leaves no partial frame behind, so leftover nonzero bytes
+    // here mean corruption.
     const std::string next_path = dir_ + "/" + internal::SegmentName(expected_lsn_);
     if (FileExists(next_path)) {
-      if (pos_ != buf_.size()) {
+      if (!zeros_only) {
         SetError(error, "trailing garbage before WAL segment rotation at lsn " +
                             std::to_string(expected_lsn_));
         return Result::kError;

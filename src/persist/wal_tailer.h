@@ -8,7 +8,12 @@
 // watermark (WriteAheadLog::WrittenLsn()): a frame is only decoded once the
 // write() covering it has returned, so the tailer never observes a partial
 // frame on a healthy log — page-cache coherence makes the appended bytes
-// immediately visible on this separate read fd.
+// immediately visible on this separate read fd. Under fsync=always the
+// segment holds zero fill past its records, which the writer later
+// overwrites in place; bytes read past the last good frame are therefore
+// never trusted: a frame that fails to decode is read again from its own
+// offset, and zeros there mean "no more records yet" (or, once the next
+// segment exists, the end of this one).
 //
 // Single-threaded: each replica sender owns one tailer. Open() fails when
 // the log no longer holds the requested LSN (segment GC'd) — the caller
@@ -58,8 +63,8 @@ class WalTailer {
   // false with empty *error means "header not fully written yet, retry".
   enum class SegOpen : std::uint8_t { kOk, kRetry, kError };
   SegOpen OpenSegment(std::uint64_t first_lsn, std::string* error);
-  // Append whatever the segment file holds past our read offset onto buf_.
-  // Returns false on I/O error.
+  // Append up to one read chunk from the segment file at our read offset
+  // onto buf_; *got is 0 at EOF. Returns false on I/O error.
   bool ReadMore(std::size_t* got);
 
   std::string dir_;
@@ -67,7 +72,7 @@ class WalTailer {
   std::uint64_t next_lsn_ = 0;   // next record to deliver
   std::uint64_t expected_lsn_ = 0;  // next record in the file (continuity check)
   int fd_ = -1;
-  std::uint64_t file_offset_ = 0;  // next read position in the current segment
+  std::uint64_t file_offset_ = 0;  // file offset of buf_.end() in the current segment
   std::string buf_;
   std::size_t pos_ = 0;  // decode cursor within buf_
 };

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,83 +68,139 @@ TEST(CrashRecoveryTest, Kill9MidLoadLosesNoAckedWriteUnderFsyncAlways) {
   }
 }
 
-// Pipelined writers under fsync=always: each connection keeps 64 sets in
-// flight, so acks are released by group-commit notifications, not by one
-// blocked event loop per write. Every STORED a client read must survive.
+constexpr int kPipeConns = 4;
+constexpr int kPipeDepth = 64;
+
+std::string PipeKey(const std::string& prefix, int conn, int i) {
+  return prefix + std::to_string(conn) + '-' + std::to_string(i);
+}
+
+// Streams pipelined sets on kPipeConns connections, each keeping kPipeDepth
+// in flight, so acks are released by group-commit notifications, not by one
+// blocked event loop per write. Once `kill_after` STOREDs arrived in total,
+// runs `before_kill` and kill -9s the server. Returns, per connection, how
+// many of its sets (keys PipeKey(prefix, conn, 0..n-1)) a client read STORED
+// for; *bad_reply is set if any reply was not STORED.
+std::vector<int> PipelineUntilKill9(ServerProcess* server, const std::string& sock,
+                                    const std::string& prefix, int kill_after, bool* bad_reply,
+                                    const std::function<void()>& before_kill = {}) {
+  std::atomic<int> acked[kPipeConns];
+  std::atomic<int> total_acked{0};
+  std::atomic<bool> bad{false};
+  std::vector<std::thread> loaders;
+  for (int c = 0; c < kPipeConns; ++c) {
+    acked[c].store(0);
+    loaders.emplace_back([&, c] {
+      Client client(sock);
+      std::string replies;
+      for (int next = 0; next < 1000000; next += kPipeDepth) {
+        std::string batch;
+        for (int i = next; i < next + kPipeDepth; ++i) {
+          batch += "set " + PipeKey(prefix, c, i) + " 0 0 " +
+                   std::to_string(ValueFor(i).size()) + "\r\n" + ValueFor(i) + "\r\n";
+        }
+        if (!client.Send(batch)) {
+          return;
+        }
+        // Replies arrive in request order: each STORED acks the next key.
+        for (int got = 0; got < kPipeDepth;) {
+          const std::size_t eol = replies.find("\r\n");
+          if (eol == std::string::npos) {
+            if (client.Read(&replies) <= 0) {
+              return;  // the server died: the rest of the batch is unacked
+            }
+            continue;
+          }
+          if (replies.compare(0, eol + 2, "STORED\r\n") != 0) {
+            bad.store(true);
+            return;
+          }
+          replies.erase(0, eol + 2);
+          acked[c].store(next + ++got, std::memory_order_release);
+          total_acked.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  while (total_acked.load(std::memory_order_relaxed) < kill_after && !bad.load()) {
+    std::this_thread::yield();  // let every connection get a real prefix acked
+  }
+  if (before_kill) {
+    before_kill();
+  }
+  server->Kill9();
+  for (std::thread& t : loaders) {
+    t.join();
+  }
+  *bad_reply = bad.load();
+  std::vector<int> counts;
+  for (int c = 0; c < kPipeConns; ++c) {
+    counts.push_back(acked[c].load(std::memory_order_acquire));
+  }
+  EXPECT_GE(total_acked.load(), kill_after);
+  return counts;
+}
+
+// Every set PipelineUntilKill9 saw acked reads back.
+void ExpectPipelineSurvived(Client* client, const std::string& prefix,
+                            const std::vector<int>& acked) {
+  for (int c = 0; c < kPipeConns; ++c) {
+    for (int i = 0; i < acked[c]; ++i) {
+      ASSERT_EQ(client->Get(PipeKey(prefix, c, i)), ValueFor(i))
+          << "acked " << PipeKey(prefix, c, i) << " lost after kill -9 (" << acked[c]
+          << " acked on conn " << c << ")";
+    }
+  }
+}
+
+// Every STORED a client read under fsync=always must survive kill -9.
 TEST(CrashRecoveryTest, Kill9MidPipelineLosesNoAckedWriteUnderFsyncAlways) {
   TempDir dir;
   const std::string sock = dir.path + "/srv.sock";
   const std::string wal_dir = dir.path + "/wal";
-  constexpr int kConns = 4;
-  constexpr int kDepth = 64;
-  auto key = [](int conn, int i) {
-    std::string k = "p";
-    k += std::to_string(conn);
-    k += '-';
-    k += std::to_string(i);
-    return k;
-  };
-
-  std::atomic<int> acked[kConns];
-  std::atomic<int> total_acked{0};
-  std::atomic<bool> bad_reply{false};
+  bool bad_reply = false;
+  std::vector<int> acked;
   {
     ServerProcess server(wal_dir, sock, "always");
-    std::vector<std::thread> loaders;
-    for (int c = 0; c < kConns; ++c) {
-      acked[c].store(0);
-      loaders.emplace_back([&, c] {
-        Client client(sock);
-        std::string replies;
-        for (int next = 0; next < 1000000; next += kDepth) {
-          std::string batch;
-          for (int i = next; i < next + kDepth; ++i) {
-            batch += "set " + key(c, i) + " 0 0 " + std::to_string(ValueFor(i).size()) +
-                     "\r\n" + ValueFor(i) + "\r\n";
-          }
-          if (!client.Send(batch)) {
-            return;
-          }
-          // Replies arrive in request order: each STORED acks the next key.
-          for (int got = 0; got < kDepth;) {
-            const std::size_t eol = replies.find("\r\n");
-            if (eol == std::string::npos) {
-              if (client.Read(&replies) <= 0) {
-                return;  // the server died: the rest of the batch is unacked
-              }
-              continue;
-            }
-            if (replies.compare(0, eol + 2, "STORED\r\n") != 0) {
-              bad_reply.store(true);
-              return;
-            }
-            replies.erase(0, eol + 2);
-            acked[c].store(next + ++got, std::memory_order_release);
-            total_acked.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    while (total_acked.load(std::memory_order_relaxed) < 4000 && !bad_reply.load()) {
-      std::this_thread::yield();  // let every connection get a real prefix acked
-    }
-    server.Kill9();
-    for (std::thread& t : loaders) {
-      t.join();
-    }
+    acked = PipelineUntilKill9(&server, sock, "p", 4000, &bad_reply);
   }
-  ASSERT_FALSE(bad_reply.load());
-  ASSERT_GE(total_acked.load(), 4000);
+  ASSERT_FALSE(bad_reply);
 
   ServerProcess server(wal_dir, sock, "always");
   Client client(sock);
-  for (int c = 0; c < kConns; ++c) {
-    const int n = acked[c].load(std::memory_order_acquire);
-    for (int i = 0; i < n; ++i) {
-      ASSERT_EQ(client.Get(key(c, i)), ValueFor(i))
-          << "acked " << key(c, i) << " lost after kill -9 (" << n << " acked on conn " << c
-          << ")";
+  ExpectPipelineSurvived(&client, "p", acked);
+}
+
+// Small segments under fsync=always: the WAL zero-fills ahead of its records
+// and rotates several times per round, and each kill -9 leaves the active
+// segment with a zero tail. Two consecutive crash/restart rounds — the
+// second writing into the log the first recovery reopened — lose no acked
+// write of either round.
+TEST(CrashRecoveryTest, TwoKill9RestartsAcrossRotationsLoseNoAckedWriteUnderFsyncAlways) {
+  TempDir dir;
+  const std::string sock = dir.path + "/srv.sock";
+  const std::string wal_dir = dir.path + "/wal";
+  const std::vector<std::string> args = {"--segment-bytes=65536"};
+  bool bad_reply = false;
+  std::vector<std::vector<int>> acked;
+  const std::string prefixes[] = {"a", "b"};
+  for (const std::string& prefix : prefixes) {
+    ServerProcess server(wal_dir, sock, "always", args);
+    Client client(sock);
+    for (std::size_t round = 0; round < acked.size(); ++round) {
+      ExpectPipelineSurvived(&client, prefixes[round], acked[round]);
     }
+    long long segments = 0;
+    acked.push_back(PipelineUntilKill9(&server, sock, prefix, 4000, &bad_reply, [&] {
+      segments = StatValue(client.Roundtrip("stats\r\n", "END\r\n"), "wal_segments_created");
+    }));
+    ASSERT_FALSE(bad_reply);
+    EXPECT_GE(segments, 3) << "round " << prefix << " must rotate";
+  }
+  ServerProcess server(wal_dir, sock, "always", args);
+  Client client(sock);
+  for (std::size_t round = 0; round < acked.size(); ++round) {
+    ExpectPipelineSurvived(&client, prefixes[round], acked[round]);
   }
 }
 

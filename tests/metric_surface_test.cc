@@ -135,7 +135,8 @@ TEST(MetricLifetimeTest, RestartedSocketServerReportsEachLineOnce) {
 // ----- Surface parity ------------------------------------------------------
 
 // Every `stats` line and /metrics series the two hand-written renderers
-// produced before the catalog, at the level they showed on.
+// produced before the catalog, at the level they showed on, plus the
+// entries added since.
 const char* const kPlainStats[] = {
     "curr_items", "get_hits", "get_misses", "cmd_set", "cmd_delete", "expired_unfetched",
     "table_lookups", "table_read_retries", "table_path_searches", "table_path_invalidations",
@@ -152,7 +153,8 @@ const char* const kPlainStats[] = {
     "vlog_reader_backend", "fsync_policy", "wal_records_appended", "wal_bytes_appended",
     "wal_fsyncs", "wal_group_commits", "wal_max_batch_records", "wal_segments_created",
     "wal_last_lsn", "wal_written_lsn", "wal_durable_lsn", "wal_io_error",
-    "snapshots_completed", "snapshot_failures", "last_snapshot_lsn", "last_snapshot_entries",
+    "wal_prefill_bytes", "snapshots_completed", "snapshot_failures", "last_snapshot_lsn",
+    "last_snapshot_entries",
     "snapshot_lock_fallbacks", "snapshot_displaced_entries", "replica_applied_records",
     "replica_skipped_tiered", "replica_resyncs", "recovery_loaded_snapshot",
     "recovery_snapshot_entries", "recovery_wal_records_applied", "recovery_truncated_tail",
@@ -168,7 +170,8 @@ const char* const kDetailOnlyStats[] = {
     "table_migration_max_stall_ns", "probe_kernel", "vlog_disk_read_ns_p50",
     "wal_append_durable_ns_p50", "wal_append_durable_ns_p99", "wal_append_durable_ns_p999",
     "wal_append_durable_ns_max", "wal_append_durable_count", "wal_batch_records_p50",
-    "wal_batch_records_p99", "wal_batch_records_max", "snapshot_walk_ns_p50",
+    "wal_batch_records_p99", "wal_batch_records_max", "wal_sync_ns_count", "wal_sync_ns_p50",
+    "wal_sync_ns_p99", "wal_sync_ns_p999", "wal_sync_ns_max", "snapshot_walk_ns_p50",
     "snapshot_walk_ns_max", "snapshot_walk_count", "repl_heartbeats_sent",
     "repl_peer_1_acked_lsn", "repl_peer_1_next_lsn", "repl_peer_1_sent_bytes",
     "repl_peer_1_full_sync"};
@@ -198,7 +201,8 @@ const char* const kPrometheus[] = {
     "cuckoo_replica_applied_records_total", "cuckoo_replica_resyncs_total",
     "cuckoo_wal_io_error", "cuckoo_snapshots_completed_total",
     "cuckoo_snapshot_failures_total", "cuckoo_wal_append_durable_seconds",
-    "cuckoo_wal_group_commit_records", "cuckoo_snapshot_walk_seconds", "cuckoo_repl_replicas",
+    "cuckoo_wal_group_commit_records", "cuckoo_wal_sync_seconds",
+    "cuckoo_wal_prefill_bytes_total", "cuckoo_snapshot_walk_seconds", "cuckoo_repl_replicas",
     "cuckoo_repl_head_lsn", "cuckoo_repl_lag_lsn", "cuckoo_repl_lag_bytes",
     "cuckoo_repl_full_syncs_total", "cuckoo_repl_semi_sync_timeouts_total",
     "cuckoo_repl_degraded_acks_total", "cuckoo_repl_streaming", "cuckoo_repl_reconnects_total",

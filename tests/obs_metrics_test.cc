@@ -52,6 +52,20 @@ TEST(MetricsTextTest, CounterAndGaugeFormat) {
   EXPECT_NE(out.find("app_items 7.5\n"), std::string::npos);
 }
 
+// An integer gauge past 1e9 keeps every digit on both surfaces.
+TEST(MetricsTextTest, LargeIntegerGaugeIsExactOnBothSurfaces) {
+  MetricCatalog catalog;
+  const auto handle = RegisterOne<int>(catalog, "wal", [] { return 0; }, [](auto& g) {
+    g.Gauge("wal_durable_lsn", "Durable LSN.", [](int) { return std::uint64_t{1073741825}; });
+  });
+  std::string stats;
+  catalog.RenderStats(StatsLevel::kPlain, &stats);
+  EXPECT_EQ(stats, "STAT wal_durable_lsn 1073741825\r\n");
+  EXPECT_NE(catalog.RenderPrometheus().find("\ncuckoo_wal_durable_lsn 1073741825\n"),
+            std::string::npos)
+      << catalog.RenderPrometheus();
+}
+
 TEST(MetricsTextTest, LatencySummaryQuantilesAndScale) {
   Histogram h;
   for (int i = 1; i <= 1000; ++i) {

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -541,6 +542,217 @@ TEST(WalTest, ReplayAnchorsPastStaleSegmentsBelowStartLsn) {
   std::string error;
   EXPECT_FALSE(ReplayWal(dir.path, 1, /*truncate_torn_tail=*/false,
                          [](const WalRecord&) {}, &stats2, &error));
+  EXPECT_NE(error.find("discontinuity"), std::string::npos) << error;
+}
+
+// ---- Zero fill (fsync=always) --------------------------------------------
+
+std::string WalPath(const std::string& dir, const std::string& name) { return dir + "/" + name; }
+
+// Byte offset of every record frame in a segment, in file order, stopping at
+// the first frame that does not decode.
+std::vector<std::size_t> FrameOffsets(const std::string& bytes) {
+  std::vector<std::size_t> offsets;
+  std::size_t pos = internal::kWalHeaderSize;
+  WalRecord record;
+  for (std::size_t at = pos; internal::DecodeWalRecord(bytes, &pos, &record) == 1; at = pos) {
+    offsets.push_back(at);
+  }
+  return offsets;
+}
+
+// Append `n` kAlways records with 1 KiB values to `wal`, acking every 8th,
+// starting at key index `first`.
+void AppendKib(WriteAheadLog* wal, int first, int n) {
+  for (int i = first; i < first + n; ++i) {
+    const std::uint64_t lsn = wal->Append(WalRecord::Type::kSet, "key" + std::to_string(i),
+                                          std::string(1024, static_cast<char>('a' + i % 26)),
+                                          0, 0, static_cast<std::uint64_t>(i) + 1);
+    if (i % 8 == 7) {
+      ASSERT_TRUE(wal->WaitDurable(lsn));
+    }
+  }
+  ASSERT_TRUE(wal->Flush());
+}
+
+// Writes that cross prefill chunks and a rotation, then a clean restart and
+// a second one: every record replays each time, no tail is reported torn,
+// and no sealed segment keeps zero fill.
+TEST(WalTest, AlwaysPolicyReplaysAcrossPrefillChunksRotationAndRestarts) {
+  TempDir dir;
+  WalOptions options;
+  options.dir = dir.path;
+  options.fsync_policy = FsyncPolicy::kAlways;
+  options.segment_bytes = 2 * internal::kWalPrefillChunk;
+  constexpr int kPerRound = 2000;  // ~2.1 MiB of records: one rotation per round
+  std::uint64_t next_lsn = 1;
+  for (int round = 0; round < 3; ++round) {
+    {
+      WriteAheadLog wal;
+      ASSERT_TRUE(wal.Open(options, next_lsn));
+      AppendKib(&wal, round * kPerRound, kPerRound);
+      const WalStats stats = wal.Stats();
+      EXPECT_GE(stats.prefill_bytes, internal::kWalPrefillChunk) << round;
+      EXPECT_GE(wal.SyncNsSnapshot().Count(), 1u);
+      wal.Shutdown();
+    }
+    std::map<std::string, std::uint64_t> sizes;
+    for (const std::string& name : ListFilesWithPrefix(dir.path, "wal-")) {
+      sizes[name] = FileSize(WalPath(dir.path, name));
+    }
+    // Each round opens a fresh segment and rotates out of it once.
+    EXPECT_GE(sizes.size(), static_cast<std::size_t>(2 * (round + 1))) << round;
+    WalReplayStats stats;
+    bool ok = false;
+    std::vector<WalRecord> records = ReplayAll(dir.path, 1, &stats, &ok);
+    ASSERT_TRUE(ok);
+    ASSERT_EQ(records.size(), static_cast<std::size_t>((round + 1) * kPerRound));
+    EXPECT_FALSE(stats.truncated_tail);
+    EXPECT_EQ(stats.torn_tail_bytes, 0u);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(records[i].lsn, i + 1);
+      ASSERT_EQ(records[i].key, "key" + std::to_string(i));
+      ASSERT_EQ(records[i].data, std::string(1024, static_cast<char>('a' + i % 26)));
+    }
+    for (const auto& [name, size] : sizes) {
+      EXPECT_EQ(FileSize(WalPath(dir.path, name)), size) << name << " had zero fill to cut";
+    }
+    next_lsn = stats.next_lsn;
+  }
+}
+
+// A crash leaves the active segment with zero fill past its last record:
+// replay takes every durable record, reports no torn tail, and cuts the
+// zeros.
+TEST(WalTest, ZeroFillOfACrashedSegmentIsNotATornTail) {
+  TempDir dir;
+  TempDir crashed;
+  WriteAheadLog wal;
+  WalOptions options;
+  options.dir = dir.path;
+  options.fsync_policy = FsyncPolicy::kAlways;
+  ASSERT_TRUE(wal.Open(options, 1));
+  AppendKib(&wal, 0, 100);
+  // The directory as a crash would leave it: copied while the log is live.
+  const std::vector<std::string> names = ListFilesWithPrefix(dir.path, "wal-");
+  ASSERT_EQ(names.size(), 1u);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(WalPath(dir.path, names[0]), &bytes));
+  wal.Shutdown();
+  const std::vector<std::size_t> frames = FrameOffsets(bytes);
+  ASSERT_EQ(frames.size(), 100u);
+  std::size_t record_end = frames.back();
+  WalRecord last;
+  ASSERT_EQ(internal::DecodeWalRecord(bytes, &record_end, &last), 1);
+  ASSERT_GT(bytes.size(), record_end) << "the live segment has zero fill";
+  ASSERT_TRUE(WriteFileAtomic(WalPath(crashed.path, names[0]), bytes));
+
+  WalReplayStats stats;
+  bool ok = false;
+  EXPECT_EQ(ReplayAll(crashed.path, 1, &stats, &ok).size(), 100u);
+  ASSERT_TRUE(ok);
+  EXPECT_FALSE(stats.truncated_tail);
+  EXPECT_EQ(stats.torn_tail_bytes, 0u);
+  EXPECT_EQ(stats.next_lsn, 101u);
+  EXPECT_EQ(FileSize(WalPath(crashed.path, names[0])), record_end);
+}
+
+// Zeros followed by nonzero bytes are not zero fill: at the end of the log
+// they are still a torn tail, cut from the first bad frame.
+TEST(WalTest, ZerosFollowedByNonzeroBytesAreATornTail) {
+  TempDir dir;
+  {
+    WriteAheadLog wal;
+    WalOptions options;
+    options.dir = dir.path;
+    options.fsync_policy = FsyncPolicy::kAlways;
+    ASSERT_TRUE(wal.Open(options, 1));
+    AppendKib(&wal, 0, 10);
+    wal.Shutdown();
+  }
+  const std::vector<std::string> names = ListFilesWithPrefix(dir.path, "wal-");
+  ASSERT_EQ(names.size(), 1u);
+  const std::string path = WalPath(dir.path, names[0]);
+  const std::uint64_t good_size = FileSize(path);
+  {
+    AppendFile f;
+    ASSERT_TRUE(f.Open(path, /*truncate=*/false));
+    ASSERT_TRUE(f.Append(std::string(4096, '\0') + "torn"));
+  }
+  WalReplayStats stats;
+  bool ok = false;
+  EXPECT_EQ(ReplayAll(dir.path, 1, &stats, &ok).size(), 10u);
+  ASSERT_TRUE(ok);
+  EXPECT_TRUE(stats.truncated_tail);
+  EXPECT_EQ(stats.torn_tail_bytes, 4100u);
+  EXPECT_EQ(FileSize(path), good_size);
+}
+
+// Build a two-segment log under kAlways; returns the segment names in order.
+std::vector<std::string> TwoSegmentLog(const std::string& dir) {
+  WriteAheadLog wal;
+  WalOptions options;
+  options.dir = dir;
+  options.fsync_policy = FsyncPolicy::kAlways;
+  options.segment_bytes = 8 << 10;
+  EXPECT_TRUE(wal.Open(options, 1));
+  AppendKib(&wal, 0, 12);  // 8 records fill the first segment
+  wal.Shutdown();
+  std::vector<std::string> names = ListFilesWithPrefix(dir, "wal-");
+  EXPECT_EQ(names.size(), 2u);
+  return names;
+}
+
+// A zero tail on a middle segment ends its records; replay goes on to the
+// next segment. Zeros followed by nonzero garbage there are corruption.
+TEST(WalTest, ZeroTailMidLogIsAcceptedButGarbageAfterItFails) {
+  TempDir dir;
+  const std::vector<std::string> names = TwoSegmentLog(dir.path);
+  ASSERT_EQ(names.size(), 2u);
+  const std::string first = WalPath(dir.path, names[0]);
+  const std::uint64_t first_size = FileSize(first);
+  {
+    AppendFile f;
+    ASSERT_TRUE(f.Open(first, /*truncate=*/false));
+    ASSERT_TRUE(f.ZeroFill(4096));
+  }
+  WalReplayStats stats;
+  bool ok = false;
+  EXPECT_EQ(ReplayAll(dir.path, 1, &stats, &ok, /*truncate_tail=*/false).size(), 12u);
+  ASSERT_TRUE(ok);
+  EXPECT_FALSE(stats.truncated_tail);
+
+  {
+    AppendFile f;
+    ASSERT_TRUE(f.Open(first, /*truncate=*/false));
+    ASSERT_TRUE(f.Append("garbage"));
+  }
+  WalReplayStats stats2;
+  std::string error;
+  EXPECT_FALSE(ReplayWal(dir.path, 1, /*truncate_torn_tail=*/true, [](const WalRecord&) {},
+                         &stats2, &error));
+  EXPECT_NE(error.find("mid-log"), std::string::npos) << error;
+  EXPECT_EQ(FileSize(first), first_size + 4096 + 7) << "a failed replay cuts nothing";
+}
+
+// A middle segment whose last record was replaced by zeros still ends with
+// an LSN gap to the next segment: the zero tail must not hide the hole.
+TEST(WalTest, ZeroTailMidLogWithAnLsnGapFails) {
+  TempDir dir;
+  const std::vector<std::string> names = TwoSegmentLog(dir.path);
+  ASSERT_EQ(names.size(), 2u);
+  const std::string first = WalPath(dir.path, names[0]);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(first, &bytes));
+  const std::vector<std::size_t> frames = FrameOffsets(bytes);
+  ASSERT_GE(frames.size(), 2u);
+  std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(frames.back()), bytes.end(), '\0');
+  ASSERT_TRUE(WriteFileAtomic(first, bytes));
+
+  WalReplayStats stats;
+  std::string error;
+  EXPECT_FALSE(ReplayWal(dir.path, 1, /*truncate_torn_tail=*/true, [](const WalRecord&) {},
+                         &stats, &error));
   EXPECT_NE(error.find("discontinuity"), std::string::npos) << error;
 }
 
